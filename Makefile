@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race drift secretcheck verify chaos bench bench-json bench-baseline fuzz-smoke clean
+.PHONY: build test vet race drift secretcheck verify chaos timers bench bench-json bench-baseline fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,13 @@ chaos:
 	$(GO) test -race -count=1 -timeout 300s \
 		-run 'Chaos|Drain|CloseUnderTraffic|Churn|Supervis|Panic|Backoff|Watchdog|Stop|Inject|Daemon|Client|Idempotent' \
 		./internal/overlay ./internal/supervise ./internal/control
+
+# Endpoint.Recv reuses timers; its timer-safety tests must pass under
+# both timer-channel semantics (a library's follow the importing
+# module's go version, so either may be in force).
+timers:
+	GODEBUG=asynctimerchan=1 $(GO) test -count=1 -run '^TestRecv' ./internal/overlay
+	GODEBUG=asynctimerchan=0 $(GO) test -count=1 -run '^TestRecv' ./internal/overlay
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

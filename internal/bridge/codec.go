@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -193,18 +192,32 @@ func EncapIsControl(b []byte) bool {
 }
 
 // ParseEncap splits an encapsulated datagram into header and fragment
-// payload (aliasing b).
+// payload (aliasing b). It allocates the returned header; the receive
+// path parses into a caller-owned header with ParseEncapInto instead.
 func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
+	h := new(EncapHeader)
+	payload, err := ParseEncapInto(h, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, payload, nil
+}
+
+// ParseEncapInto is ParseEncap into a caller-owned header: every field
+// of *h is overwritten, so one header can be reused across datagrams.
+// It returns the fragment payload (aliasing b). On error *h is left in
+// an unspecified state.
+func ParseEncapInto(h *EncapHeader, b []byte) ([]byte, error) {
 	if len(b) < EncapHeaderLen {
-		return nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if binary.BigEndian.Uint16(b) != EncapMagic {
-		return nil, nil, ErrBadMagic
+		return nil, ErrBadMagic
 	}
 	if b[2] != EncapVersion {
-		return nil, nil, ErrBadVersion
+		return nil, ErrBadVersion
 	}
-	h := &EncapHeader{
+	*h = EncapHeader{
 		MoreFrags:  b[3]&flagMoreFrags != 0,
 		Probe:      b[3]&flagProbe != 0,
 		ProbeReply: b[3]&flagProbeReply != 0,
@@ -215,7 +228,7 @@ func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
 	hdrLen := EncapHeaderLen
 	if b[3]&flagTrace != 0 {
 		if len(b) < hdrLen+EncapTraceLen {
-			return nil, nil, ErrTruncated
+			return nil, ErrTruncated
 		}
 		h.HasTrace = true
 		h.Trace.ID = binary.BigEndian.Uint64(b[hdrLen:])
@@ -225,7 +238,7 @@ func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
 	}
 	if b[3]&flagSealed != 0 {
 		if len(b) < hdrLen+EncapSealLen {
-			return nil, nil, ErrTruncated
+			return nil, ErrTruncated
 		}
 		h.HasSeal = true
 		h.Seal.Tenant = binary.BigEndian.Uint32(b[hdrLen:])
@@ -238,14 +251,14 @@ func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
 	dataLen := len(payload)
 	if h.HasSeal {
 		if dataLen < SealOverhead {
-			return nil, nil, ErrTruncated
+			return nil, ErrTruncated
 		}
 		dataLen -= SealOverhead
 	}
 	if int(h.FragOff)+dataLen > int(h.TotalLen) {
-		return nil, nil, ErrFragBounds
+		return nil, ErrFragBounds
 	}
-	return h, payload, nil
+	return payload, nil
 }
 
 // Encapsulate marshals f and splits it into UDP-payload-sized datagrams,
@@ -448,30 +461,41 @@ type span struct {
 // not count twice, or a datagram could "complete" with a hole in it.
 type partial struct {
 	buf     []byte
-	spans   []span // disjoint, sorted received ranges
+	spans   []span // disjoint, non-adjacent, sorted received ranges
 	total   int
 	sawLast bool
+	gen     uint64 // sweep generation of the last fragment (EvictStale)
+
+	// inline backs spans: in-order fragments keep one merged range and
+	// a single reordering two, so neither grows the slice.
+	inline [2]span
 }
 
-// addSpan records [off, end) as received, merging overlapping and
-// adjacent ranges.
+// addSpan records [off, end) as received, merging it in place with
+// every range it overlaps or touches.
 func (p *partial) addSpan(off, end int) {
 	if end <= off {
 		return
 	}
-	spans := append(p.spans, span{off, end})
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-	merged := spans[:0]
-	for _, s := range spans {
-		if n := len(merged); n > 0 && s.off <= merged[n-1].end {
-			if s.end > merged[n-1].end {
-				merged[n-1].end = s.end
-			}
-			continue
-		}
-		merged = append(merged, s)
+	s := p.spans
+	i := 0
+	for i < len(s) && s[i].end < off {
+		i++
 	}
-	p.spans = merged
+	j := i
+	for j < len(s) && s[j].off <= end {
+		off = min(off, s[j].off)
+		end = max(end, s[j].end)
+		j++
+	}
+	if i == j {
+		s = append(s, span{})
+		copy(s[i+1:], s[i:])
+	} else {
+		s = append(s[:i+1], s[j:]...)
+	}
+	s[i] = span{off, end}
+	p.spans = s
 }
 
 // complete reports whether every byte of [0, total) has arrived.
@@ -479,14 +503,23 @@ func (p *partial) complete() bool {
 	return len(p.spans) == 1 && p.spans[0].off == 0 && p.spans[0].end == p.total
 }
 
+// reasmKey names one inner frame under reassembly. A sealed stream is
+// scoped by its tenant, so plaintext and sealed fragments from one
+// sender (or two tenants' sealed streams) never interleave.
+type reasmKey struct {
+	sender string
+	sealed bool
+	tenant uint32
+	id     uint32
+}
+
 // Reassembler reconstructs inner Ethernet frames from encapsulation
 // fragments. Fragments may arrive in any order; packets are keyed by
-// (sender key, id). Stale partial packets are evicted by generation
-// sweeps (EvictStale) rather than wall-clock timers so the type works in
-// both simulated and real time.
+// (sender key, seal tenant, id). Stale partial packets are evicted by
+// generation sweeps (EvictStale) rather than wall-clock timers so the
+// type works in both simulated and real time.
 type Reassembler struct {
-	partials map[string]*partial
-	gen      map[string]uint64
+	partials map[reasmKey]*partial
 	curGen   uint64
 
 	// Reassembled counts completed frames; Dropped counts evictions.
@@ -495,24 +528,25 @@ type Reassembler struct {
 
 // NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
-	return &Reassembler{partials: make(map[string]*partial), gen: make(map[string]uint64)}
+	return &Reassembler{partials: make(map[reasmKey]*partial)}
 }
-
-func key(sender string, id uint32) string { return fmt.Sprintf("%s/%d", sender, id) }
 
 // Add processes one encapsulated datagram from sender. When the datagram
 // completes an inner frame, the frame is parsed and returned; otherwise
 // (more fragments pending) it returns (nil, nil).
 func (r *Reassembler) Add(sender string, datagram []byte) (*ethernet.Frame, error) {
-	h, payload, err := ParseEncap(datagram)
+	var h EncapHeader
+	payload, err := ParseEncapInto(&h, datagram)
 	if err != nil {
 		return nil, err
 	}
-	return r.AddParsed(sender, h, payload)
+	return r.AddParsed(sender, &h, payload)
 }
 
 // AddParsed is Add for a datagram the caller already split with
-// ParseEncap (the overlay parses first to intercept probe datagrams).
+// ParseEncap or ParseEncapInto (the overlay parses first to intercept
+// probe datagrams). For a sealed datagram payload is the opened
+// plaintext; h's seal tenant scopes the reassembly stream.
 func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (*ethernet.Frame, error) {
 	// Fast path: unfragmented packet.
 	if h.FragOff == 0 && !h.MoreFrags {
@@ -521,15 +555,18 @@ func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (
 		}
 		return ethernet.Unmarshal(payload)
 	}
-	k := key(sender, h.ID)
+	k := reasmKey{sender: sender, id: h.ID}
+	if h.HasSeal {
+		k.sealed, k.tenant = true, h.Seal.Tenant
+	}
 	p := r.partials[k]
 	if p == nil {
 		p = &partial{buf: make([]byte, h.TotalLen), total: int(h.TotalLen)}
+		p.spans = p.inline[:0]
 		r.partials[k] = p
 	}
 	if p.total != int(h.TotalLen) {
 		delete(r.partials, k)
-		delete(r.gen, k)
 		return nil, ErrFragBounds
 	}
 	copy(p.buf[h.FragOff:], payload)
@@ -537,10 +574,9 @@ func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (
 	if !h.MoreFrags {
 		p.sawLast = true
 	}
-	r.gen[k] = r.curGen
+	p.gen = r.curGen
 	if p.sawLast && p.complete() {
 		delete(r.partials, k)
-		delete(r.gen, k)
 		r.Reassembled++
 		return ethernet.Unmarshal(p.buf)
 	}
@@ -551,10 +587,9 @@ func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (
 // Call it periodically (e.g. once per second of real or simulated time).
 func (r *Reassembler) EvictStale() int {
 	evicted := 0
-	for k, g := range r.gen {
-		if g < r.curGen {
+	for k, p := range r.partials {
+		if p.gen < r.curGen {
 			delete(r.partials, k)
-			delete(r.gen, k)
 			evicted++
 			r.Dropped++
 		}

@@ -227,6 +227,7 @@ func (n *Node) shardFor(sender string) *rxShard {
 // inside one datagram past the watchdog timeout gets the instance
 // superseded. inst.Quit closes on supersession and node teardown.
 func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
+	var h bridge.EncapHeader // reused across datagrams; processData does not retain it
 	for {
 		select {
 		case <-n.quit:
@@ -235,7 +236,7 @@ func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 			return
 		case d := <-s.in:
 			inst.Working()
-			h, payload, err := bridge.ParseEncap(d.pkt)
+			payload, err := bridge.ParseEncapInto(&h, d.pkt)
 			if err != nil {
 				n.BadPackets.Add(1)
 				n.drop(dropBadPacket, 1, telemetry.DropDetail{
@@ -244,7 +245,7 @@ func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 				inst.Idle()
 				continue
 			}
-			n.processData(s, d.sender, h, payload, d.pkt, d.at)
+			n.processData(s, d.sender, &h, payload, d.pkt, d.at)
 			inst.Idle()
 		}
 	}
@@ -291,17 +292,21 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		n.metrics.sealOpened.Add(1)
 		tenant = h.Seal.Tenant
 		payload = pt
-		// Scope the reassembly stream by tenant: a plaintext and a sealed
-		// stream from one remote address must never interleave fragments.
-		sender = sender + "|t" + strconv.FormatUint(uint64(tenant), 10)
 	}
+	// The reassembler scopes a sealed stream by the header's tenant: a
+	// plaintext and a sealed stream from one remote address never
+	// interleave fragments.
 	s.mu.Lock()
 	frame, err := s.reasm.AddParsed(sender, h, payload)
 	s.mu.Unlock()
 	if err != nil {
 		n.BadPackets.Add(1)
+		scope := sender
+		if h.HasSeal {
+			scope += "|t" + strconv.FormatUint(uint64(tenant), 10)
+		}
 		n.drop(dropBadPacket, 1, telemetry.DropDetail{
-			Tenant: tenant, Scope: sender, Stage: "reassembly",
+			Tenant: tenant, Scope: scope, Stage: "reassembly",
 		})
 		return
 	}

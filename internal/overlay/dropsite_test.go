@@ -10,7 +10,7 @@ package overlay
 
 import (
 	"fmt"
-	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -148,7 +148,7 @@ func TestDropSiteDispatcherRing(t *testing.T) {
 
 func TestDropSiteProbeRing(t *testing.T) {
 	n := dropNode(t, NodeConfig{})
-	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+	from := netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), 9)
 	probe := marshalProbe("lk", 1)
 	attr := &rxAttrib{}
 	deadline := time.Now().Add(5 * time.Second)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,15 +125,41 @@ func (ep *Endpoint) SendBatch(frames []*ethernet.Frame) error {
 	return errors.Join(errs...)
 }
 
-// Recv waits up to timeout for a delivered frame.
+// Recv waits up to timeout for a delivered frame. A frame already
+// queued is returned without touching a timer; a wait borrows one from
+// recvTimers.
 func (ep *Endpoint) Recv(timeout time.Duration) (*ethernet.Frame, bool) {
 	select {
 	case f := <-ep.rx:
 		return f, true
-	case <-time.After(timeout):
+	default:
+	}
+	t, _ := recvTimers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(timeout)
+	} else {
+		t.Reset(timeout)
+	}
+	select {
+	case f := <-ep.rx:
+		// Stop reporting true means the timer never fired, so its channel
+		// is empty under both timer-channel semantics (asynctimerchan=0
+		// and =1) and a later Reset cannot see a stale tick. A timer that
+		// fired or lost the race is dropped instead of reused.
+		if t.Stop() {
+			recvTimers.Put(t)
+		}
+		return f, true
+	case <-t.C:
 		return nil, false
 	}
 }
+
+// recvTimers holds stopped, unfired timers for Recv to reuse. A fresh
+// timer per wait would allocate and, under the pre-Go-1.23 timer
+// semantics that a module declaring an older go version gets, stay in
+// the runtime timer heap until it fired.
+var recvTimers sync.Pool
 
 // TryRecv returns a delivered frame without waiting.
 func (ep *Endpoint) TryRecv() (*ethernet.Frame, bool) {
@@ -1209,11 +1236,11 @@ type probeEvent struct {
 // rxAttrib is the read loop's sender-attribution cache: the sender-key
 // string for the common case of consecutive datagrams from one peer (a
 // fragmented jumbo frame arrives as a burst from the same address) —
-// String() per datagram would allocate — plus the sender's link for
-// receive-byte attribution, invalidated when the key or the link
+// formatting it per datagram would allocate — plus the sender's link
+// for receive-byte attribution, invalidated when the sender or the link
 // table's epoch changes.
 type rxAttrib struct {
-	lastAddr  net.UDPAddr
+	lastAddr  netip.AddrPort
 	lastKey   string
 	lastLink  *link
 	lastEpoch uint64
@@ -1258,10 +1285,10 @@ func (n *Node) readLoop(inst *supervise.Instance) {
 // attribution via the read loop's cache, control steering to the probe
 // handler, data enqueue onto the sender's dispatcher shard. pkt must be
 // an owned copy (it outlives the call on both paths).
-func (n *Node) handleDatagram(pkt []byte, from *net.UDPAddr, at time.Time, attr *rxAttrib) {
-	changed := attr.lastKey == "" || from.Port != attr.lastAddr.Port || !from.IP.Equal(attr.lastAddr.IP)
+func (n *Node) handleDatagram(pkt []byte, from netip.AddrPort, at time.Time, attr *rxAttrib) {
+	changed := attr.lastKey == "" || from != attr.lastAddr
 	if changed {
-		attr.lastAddr = *from
+		attr.lastAddr = from
 		attr.lastKey = from.String()
 	}
 	if epoch := n.linkEpoch.Load(); changed || epoch != attr.lastEpoch {
@@ -1275,7 +1302,7 @@ func (n *Node) handleDatagram(pkt []byte, from *net.UDPAddr, at time.Time, attr 
 	}
 	if bridge.EncapIsControl(pkt) {
 		select {
-		case n.probeCh <- probeEvent{pkt: pkt, from: from}:
+		case n.probeCh <- probeEvent{pkt: pkt, from: net.UDPAddrFromAddrPort(from)}:
 		default:
 			// Control ring full: the dropped probe surfaces as a lost
 			// heartbeat at its sender — but the ledger still records
@@ -1283,7 +1310,7 @@ func (n *Node) handleDatagram(pkt []byte, from *net.UDPAddr, at time.Time, attr 
 			// unified ledger, so an overloaded probe ring looked like
 			// network loss).
 			n.drop(dropProbeRing, 1, telemetry.DropDetail{
-				Scope: from.String(), Stage: "control",
+				Scope: attr.lastKey, Stage: "control",
 			})
 		}
 		return
@@ -1297,6 +1324,7 @@ func (n *Node) handleDatagram(pkt []byte, from *net.UDPAddr, at time.Time, attr 
 // Supervised as "prober": a panic on one malformed event restarts the
 // loop; probeCh survives the restart.
 func (n *Node) probeLoop(inst *supervise.Instance) {
+	var h bridge.EncapHeader
 	for {
 		select {
 		case <-n.quit:
@@ -1305,7 +1333,7 @@ func (n *Node) probeLoop(inst *supervise.Instance) {
 			return
 		case ev := <-n.probeCh:
 			inst.Working()
-			h, payload, err := bridge.ParseEncap(ev.pkt)
+			payload, err := bridge.ParseEncapInto(&h, ev.pkt)
 			if err != nil {
 				n.BadPackets.Add(1)
 				n.drop(dropBadPacket, 1, telemetry.DropDetail{

@@ -4,12 +4,15 @@
 // from the UDP socket, mirroring the sendmmsg transmit path. The reader
 // owns a fixed set of 64KiB buffers and mmsghdr/iovec/sockaddr arrays,
 // rebuilt never — readBatch's only per-datagram allocation is the owned
-// packet copy handed up the stack.
+// packet copy handed up the stack. Senders decode into netip.AddrPort
+// values and the poller callback is built once, so a batch costs no
+// allocation beyond those copies.
 
 package overlay
 
 import (
 	"net"
+	"net/netip"
 	"syscall"
 	"unsafe"
 )
@@ -23,6 +26,13 @@ type mmsgReader struct {
 	iovs  []syscall.Iovec
 	msgs  []mmsghdr
 	names []syscall.RawSockaddrInet6 // big enough for both families
+
+	// recv is the RawConn.Read callback, bound once at construction (a
+	// per-call closure would allocate on every batch); want is its input
+	// and got/opErr its results, all owned by the single reader.
+	recv      func(fd uintptr) bool
+	want, got int
+	opErr     error
 }
 
 func newPlatformBatchReader(c *net.UDPConn, batch int) batchReader {
@@ -45,7 +55,29 @@ func newPlatformBatchReader(c *net.UDPConn, batch int) batchReader {
 		r.msgs[i].hdr.Iovlen = 1 // uint64 on both supported 64-bit arches
 		r.msgs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
 	}
+	r.recv = r.recvmmsg
 	return r
+}
+
+// recvmmsg is the poller callback: one non-blocking recvmmsg(2) of up
+// to r.want datagrams. It reports false (park until readable) on EAGAIN
+// and retries EINTR in place.
+func (r *mmsgReader) recvmmsg(fd uintptr) bool {
+	for {
+		n1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&r.msgs[0])), uintptr(r.want), 0, 0, 0)
+		switch {
+		case errno == syscall.EINTR:
+			continue // interrupted before any datagram: retry
+		case errno == syscall.EAGAIN:
+			return false // park on the poller until readable
+		case errno != 0:
+			r.opErr = errno
+			return true
+		}
+		r.got = int(n1)
+		return true
+	}
 }
 
 func (r *mmsgReader) readBatch(into []rxPacket) (int, error) {
@@ -58,65 +90,46 @@ func (r *mmsgReader) readBatch(into []rxPacket) (int, error) {
 	for i := 0; i < want; i++ {
 		r.msgs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[i]))
 	}
-	got := 0
-	var opErr error
-	rerr := r.rc.Read(func(fd uintptr) bool {
-		for {
-			n1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&r.msgs[0])), uintptr(want), 0, 0, 0)
-			switch {
-			case errno == syscall.EINTR:
-				continue // interrupted before any datagram: retry
-			case errno == syscall.EAGAIN:
-				return false // park on the poller until readable
-			case errno != 0:
-				opErr = errno
-				return true
-			}
-			got = int(n1)
-			return true
-		}
-	})
-	if rerr != nil {
-		return 0, rerr // socket closed (shutdown) or poller error
+	r.want, r.got, r.opErr = want, 0, nil
+	if err := r.rc.Read(r.recv); err != nil {
+		return 0, err // socket closed (shutdown) or poller error
 	}
-	if opErr != nil {
-		return 0, opErr
+	if r.opErr != nil {
+		return 0, r.opErr
 	}
+	got := r.got
 	for i := 0; i < got; i++ {
 		sz := int(r.msgs[i].cnt)
 		pkt := make([]byte, sz)
 		copy(pkt, r.bufs[i][:sz])
-		into[i] = rxPacket{pkt: pkt, from: udpAddrOf(&r.names[i])}
+		into[i] = rxPacket{pkt: pkt, from: addrPortOf(&r.names[i])}
 	}
 	return got, nil
 }
 
-// udpAddrOf decodes a kernel-written sockaddr into a *net.UDPAddr. The
-// storage is RawSockaddrInet6-sized; AF_INET reinterprets the prefix as
-// RawSockaddrInet4 (the layouts agree through the family field). Ports
-// are network byte order in both.
-func udpAddrOf(sa *syscall.RawSockaddrInet6) *net.UDPAddr {
+// addrPortOf decodes a kernel-written sockaddr into a netip.AddrPort.
+// The storage is RawSockaddrInet6-sized; AF_INET reinterprets the prefix
+// as RawSockaddrInet4 (the layouts agree through the family field). Ports
+// are network byte order in both. An IPv4-mapped IPv6 sender (a socket
+// bound to [::]) is unmapped so its key matches the v4 link address.
+func addrPortOf(sa *syscall.RawSockaddrInet6) netip.AddrPort {
 	switch sa.Family {
 	case syscall.AF_INET:
 		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
-		ip := make(net.IP, 4)
-		copy(ip, sa4.Addr[:])
 		p := (*[2]byte)(unsafe.Pointer(&sa4.Port))
-		return &net.UDPAddr{IP: ip, Port: int(p[0])<<8 | int(p[1])}
+		return netip.AddrPortFrom(netip.AddrFrom4(sa4.Addr), uint16(p[0])<<8|uint16(p[1]))
 	case syscall.AF_INET6:
-		ip := make(net.IP, 16)
-		copy(ip, sa.Addr[:])
 		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		addr := &net.UDPAddr{IP: ip, Port: int(p[0])<<8 | int(p[1])}
+		ip := netip.AddrFrom16(sa.Addr).Unmap()
 		if sa.Scope_id != 0 {
-			// Numeric zone: enough for equality and attribution; the
-			// overlay never dials zoned addresses itself.
+			// Interface-name zone, or none when the index is unknown:
+			// enough for equality and attribution; the overlay never
+			// dials zoned addresses itself.
 			if ifi, err := net.InterfaceByIndex(int(sa.Scope_id)); err == nil {
-				addr.Zone = ifi.Name
+				ip = ip.WithZone(ifi.Name)
 			}
 		}
-		return addr
+		return netip.AddrPortFrom(ip, uint16(p[0])<<8|uint16(p[1]))
 	}
-	return &net.UDPAddr{}
+	return netip.AddrPort{}
 }

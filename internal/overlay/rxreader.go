@@ -7,7 +7,10 @@
 
 package overlay
 
-import "net"
+import (
+	"net"
+	"net/netip"
+)
 
 // defaultRxBatch is the read loop's per-wakeup datagram budget when
 // NodeConfig.RxBatch is zero. 16 amortizes the syscall well past the
@@ -16,9 +19,12 @@ const defaultRxBatch = 16
 
 // rxPacket is one received datagram: an owned copy of the payload (the
 // reader's internal buffers are reused across batches) and its sender.
+// The sender is a fixed-size value — decoding it allocates nothing — and
+// IPv4-mapped IPv6 senders (a node bound to [::]) are unmapped, so a v4
+// peer's key reads "127.0.0.1:p" on either bind.
 type rxPacket struct {
 	pkt  []byte
-	from *net.UDPAddr
+	from netip.AddrPort
 }
 
 // batchReader abstracts "drain up to len(into) datagrams from the
@@ -30,22 +36,22 @@ type batchReader interface {
 	readBatch(into []rxPacket) (int, error)
 }
 
-// singleReader is the portable batchReader: one blocking ReadFromUDP
-// per call, so batches degenerate to size one. Used on platforms
-// without recvmmsg and whenever RxBatch <= 1.
+// singleReader is the portable batchReader: one blocking
+// ReadFromUDPAddrPort per call, so batches degenerate to size one. Used
+// on platforms without recvmmsg and whenever RxBatch <= 1.
 type singleReader struct {
 	c   *net.UDPConn
 	buf []byte
 }
 
 func (r *singleReader) readBatch(into []rxPacket) (int, error) {
-	sz, from, err := r.c.ReadFromUDP(r.buf)
+	sz, from, err := r.c.ReadFromUDPAddrPort(r.buf)
 	if err != nil {
 		return 0, err
 	}
 	pkt := make([]byte, sz)
 	copy(pkt, r.buf[:sz])
-	into[0] = rxPacket{pkt: pkt, from: from}
+	into[0] = rxPacket{pkt: pkt, from: netip.AddrPortFrom(from.Addr().Unmap(), from.Port())}
 	return 1, nil
 }
 

@@ -126,7 +126,7 @@ func TestMmsgReaderShortBatch(t *testing.T) {
 		if len(p.pkt) != 3 || p.pkt[0] != byte(i) || p.pkt[1] != 0xAA {
 			t.Fatalf("datagram %d corrupted: %x", i, p.pkt)
 		}
-		if p.from == nil || p.from.Port != want.Port || !p.from.IP.Equal(want.IP) {
+		if !p.from.IsValid() || int(p.from.Port()) != want.Port || !net.IP(p.from.Addr().AsSlice()).Equal(want.IP) {
 			t.Fatalf("datagram %d sender = %v, want %v", i, p.from, want)
 		}
 	}
@@ -213,7 +213,63 @@ func TestSingleReaderContract(t *testing.T) {
 	if keep[0] != 0x40 || into[0].pkt[0] != 0x41 {
 		t.Fatalf("reads not owned copies in order: %x then %x", keep, into[0].pkt)
 	}
-	if into[0].from.Port != sconn.LocalAddr().(*net.UDPAddr).Port {
-		t.Fatalf("sender port = %d", into[0].from.Port)
+	if want := sconn.LocalAddr().(*net.UDPAddr); int(into[0].from.Port()) != want.Port ||
+		!net.IP(into[0].from.Addr().AsSlice()).Equal(want.IP) {
+		t.Fatalf("sender = %v, want %v", into[0].from, want)
+	}
+}
+
+// TestDualStackBindAttributesV4Peer pins the sender unmapping: a node
+// bound to [::] sees a v4 peer as an IPv4-mapped IPv6 address, which
+// must still key as "127.0.0.1:p" — resolving the link through
+// linkByAddr and crediting its bytes_recv — on both the recvmmsg and
+// the portable reader.
+func TestDualStackBindAttributesV4Peer(t *testing.T) {
+	for _, rxBatch := range []int{1, 8} {
+		t.Run(fmt.Sprintf("rxbatch=%d", rxBatch), func(t *testing.T) {
+			a, err := NewNodeWithConfig("dual", "[::]:0", NodeConfig{RxBatch: rxBatch})
+			if err != nil {
+				t.Skipf("no dual-stack bind on this host: %v", err)
+			}
+			defer a.Close()
+			b, err := NewNode("v4", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			ep, err := a.AttachEndpoint("nic0", ethernet.LocalMAC(1), 1500)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := b.AttachEndpoint("nic0", ethernet.LocalMAC(2), 1500)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aPort := a.conn.LocalAddr().(*net.UDPAddr).Port
+			if err := a.AddLink("to-b", b.Addr(), "udp"); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddLink("to-a", fmt.Sprintf("127.0.0.1:%d", aPort), "udp"); err != nil {
+				t.Fatal(err)
+			}
+			b.AddRoute(core.Route{DstMAC: ep.MAC(), DstQual: core.QualExact, SrcQual: core.QualAny,
+				Dest: core.Destination{Type: core.DestLink, ID: "to-a"}})
+			if err := src.Send(&ethernet.Frame{Dst: ep.MAC(), Src: src.MAC(),
+				Type: ethernet.TypeTest, Payload: []byte("v4 over dual stack")}); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := ep.Recv(2 * time.Second); !ok {
+				t.Fatal("frame from the v4 peer never arrived")
+			}
+			a.mu.Lock()
+			lk := a.linkByAddr[b.Addr()]
+			a.mu.Unlock()
+			if lk == nil || lk.id != "to-b" {
+				t.Fatalf("linkByAddr[%q] = %v, want link to-b", b.Addr(), lk)
+			}
+			if got := lk.bytesRecv.Load(); got == 0 {
+				t.Fatal("v4 peer's datagram not credited to its link's bytes_recv")
+			}
+		})
 	}
 }

@@ -141,6 +141,7 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 	shard := n.shardFor(key)
 	r := bufio.NewReader(c.conn)
 	var hdr [4]byte
+	var h bridge.EncapHeader
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
@@ -159,7 +160,7 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 		if lk != nil { // inbound accepted conns have no link to attribute to
 			lk.bytesRecv.Add(uint64(len(hdr) + len(pkt)))
 		}
-		h, payload, err := bridge.ParseEncap(pkt)
+		payload, err := bridge.ParseEncapInto(&h, pkt)
 		if err != nil {
 			n.BadPackets.Add(1)
 			n.drop(dropBadPacket, 1, telemetry.DropDetail{Scope: key, Stage: "tcp_parse"})
@@ -176,7 +177,7 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 			// The connection reader is already a dedicated goroutine, so
 			// data is processed inline on the sender's reassembly shard
 			// rather than re-queued behind the UDP dispatchers.
-			n.processData(shard, key, h, payload, pkt, at)
+			n.processData(shard, key, &h, payload, pkt, at)
 		}
 	}
 }
