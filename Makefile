@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race drift secretcheck verify chaos timers bench bench-json bench-baseline fuzz-smoke clean
+.PHONY: build test vet race drift secretcheck livebench-vet verify chaos timers bench bench-json bench-baseline fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -26,9 +26,15 @@ drift:
 secretcheck:
 	$(GO) run ./scripts/secretcheck
 
+# The benchmark harness is its own module (livebench/go.mod), so the
+# root build and tests never compile it; vet it so an API change the
+# harness depends on fails here rather than in a benchmark run.
+livebench-vet:
+	cd livebench && $(GO) vet ./...
+
 # Full verification: compile, static checks, plain suite, race suite,
-# doc drift, secrets hygiene.
-verify: build vet test race drift secretcheck
+# doc drift, secrets hygiene, benchmark-harness compile.
+verify: build vet test race drift secretcheck livebench-vet
 
 # Crash-injection and drain-stress suite: panics and stalls injected
 # into live datapath components, graceful-drain and close-under-traffic

@@ -319,37 +319,41 @@ type EncapPacket struct {
 	wire  []byte // backing storage for every datagram
 }
 
-// Encapsulate is the pooled equivalent of the package-level Encapsulate:
-// it marshals f and splits it into datagrams of at most maxPayload bytes
-// each (header included), reusing buffers from the pool. The returned
-// packet must be Released once every datagram has been handed to (and
-// copied or written by) the transport.
-func (e *Encapsulator) Encapsulate(f *ethernet.Frame, id uint32, maxPayload int) (*EncapPacket, error) {
-	return e.EncapsulateTrace(f, id, maxPayload, nil)
-}
-
-// EncapsulateTrace is Encapsulate with an optional trace extension: when
-// tr is non-nil every produced datagram carries it, so the receive node
-// can continue the sampled packet's trace under the same trace ID. The
-// extension shrinks each fragment's payload budget by EncapTraceLen.
-func (e *Encapsulator) EncapsulateTrace(f *ethernet.Frame, id uint32, maxPayload int, tr *TraceExt) (*EncapPacket, error) {
-	return e.EncapsulateSealed(f, id, maxPayload, tr, nil)
-}
-
-// EncapsulateSealed is EncapsulateTrace with an optional link sealer:
-// when sl is non-nil every fragment carries the seal extension and its
-// payload is encrypted in place in the pooled wire buffer, with the
-// fragment's full wire header bound as associated data. The seal
-// extension and AEAD tag shrink each fragment's payload budget by
-// EncapSealLen+SealOverhead.
+// EncapsulateSealed marshals f and splits it into datagrams of at most
+// maxPayload bytes each (header included), reusing buffers from the
+// pool. A non-nil tr puts the trace extension in every datagram, so the
+// receive node continues the sampled packet's trace under the same ID.
+// A non-nil sl seals every fragment: the header carries the seal
+// extension and the payload is encrypted in place in the pooled wire
+// buffer, with the fragment's full wire header bound as associated
+// data. Each extension (and the AEAD tag) shrinks the fragment payload
+// budget. The returned packet must be Released once every datagram has
+// been handed to (and copied or written by) the transport.
 func (e *Encapsulator) EncapsulateSealed(f *ethernet.Frame, id uint32, maxPayload int, tr *TraceExt, sl LinkSealer) (*EncapPacket, error) {
-	hdrLen := EncapHeaderLen
+	// The per-fragment fields are patched by encode, so the header with
+	// its extensions is marshalled once per frame, on the stack.
+	var buf [EncapHeaderLen + EncapTraceLen + EncapSealLen]byte
+	var h EncapHeader
 	if tr != nil {
-		hdrLen += EncapTraceLen
+		h.Trace = *tr
+		h.HasTrace = true
 	}
+	if sl != nil {
+		h.Seal.Tenant = sl.Tenant()
+		h.HasSeal = true
+	}
+	return e.encode(f, id, maxPayload, h.Marshal(buf[:0]), sl)
+}
+
+// encode is the one fragment loop behind every pooled encapsulation:
+// each fragment's header is a copy of prefix (the full wire header,
+// per-fragment fields zero) with the more-frags bit, id, fragOff and
+// totalLen patched in, and — when sl is non-nil — a fresh nonce in the
+// seal extension's last 8 bytes and the payload sealed in place.
+func (e *Encapsulator) encode(f *ethernet.Frame, id uint32, maxPayload int, prefix []byte, sl LinkSealer) (*EncapPacket, error) {
+	hdrLen := len(prefix)
 	perFragOverhead := 0
 	if sl != nil {
-		hdrLen += EncapSealLen
 		perFragOverhead = SealOverhead
 	}
 	if maxPayload <= hdrLen+perFragOverhead {
@@ -385,32 +389,25 @@ func (e *Encapsulator) EncapsulateSealed(f *ethernet.Frame, id uint32, maxPayloa
 	dgs := p.Datagrams[:0]
 	for i := 0; i < nfrags; i++ {
 		off := i * chunk
-		end := off + chunk
-		if end > len(inner) {
-			end = len(inner)
-		}
-		h := EncapHeader{
-			ID:        id,
-			FragOff:   uint32(off),
-			TotalLen:  uint32(len(inner)),
-			MoreFrags: end < len(inner),
-		}
-		if tr != nil {
-			h.Trace = *tr
-			h.HasTrace = true
-		}
-		if sl != nil {
-			h.Seal = SealExt{Tenant: sl.Tenant(), Nonce: sl.NextNonce()}
-			h.HasSeal = true
-		}
+		end := min(off+chunk, len(inner))
 		start := len(wire)
-		wire = h.Marshal(wire)
+		wire = append(wire, prefix...)
+		hdr := wire[start:]
+		if end < len(inner) {
+			hdr[3] |= flagMoreFrags
+		}
+		binary.BigEndian.PutUint32(hdr[4:], id)
+		binary.BigEndian.PutUint32(hdr[8:], uint32(off))
+		binary.BigEndian.PutUint32(hdr[12:], uint32(len(inner)))
+		var nonce uint64
+		if sl != nil {
+			nonce = sl.NextNonce()
+			binary.BigEndian.PutUint64(hdr[hdrLen-8:], nonce)
+		}
 		payloadStart := len(wire)
 		wire = append(wire, inner[off:end]...)
 		if sl != nil {
-			// In-place encrypt: the reserved headroom guarantees the tag
-			// append stays inside the contiguous wire buffer.
-			ct := sl.Seal(h.Seal.Nonce, wire[start:payloadStart], wire[payloadStart:len(wire):need])
+			ct := sl.Seal(nonce, wire[start:payloadStart], wire[payloadStart:len(wire):need])
 			wire = wire[:payloadStart+len(ct)]
 		}
 		dgs = append(dgs, wire[start:len(wire):len(wire)])

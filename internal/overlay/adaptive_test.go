@@ -360,6 +360,41 @@ func TestEncapFailureSkipsWireTxTrace(t *testing.T) {
 	}
 }
 
+// TestSyncEncapFailureSkipsWireTxTrace is the synchronous (TxBatch=1)
+// twin of TestEncapFailureSkipsWireTxTrace: the one-frame transmit
+// applies the same accounting rule, so the encapsulation failure
+// returns to the caller, counts one send_errors, and leaves no wire_tx
+// hop and no TX latency sample.
+func TestSyncEncapFailureSkipsWireTxTrace(t *testing.T) {
+	na, _, epA, epB := batchNodes(t,
+		overlay.NodeConfig{TxBatch: 1, TraceSample: 1}, overlay.NodeConfig{}, "udp")
+	bad := &ethernet.Frame{
+		Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
+		Payload: []byte("doomed"), Pad: -1,
+	}
+	if err := epA.Send(bad); err == nil {
+		t.Fatal("Send of an unencapsulatable frame returned no error")
+	}
+	if c := famValue(na, "vnetp_link_send_errors_total"); c != 1 {
+		t.Fatalf("send_errors = %v, want 1", c)
+	}
+	paths := na.Tracer().Traces()
+	if len(paths) == 0 {
+		t.Fatal("frame was not traced at all")
+	}
+	for _, p := range paths {
+		for _, h := range p.Hops {
+			if h.Stage == trace.StageWireTx {
+				t.Fatalf("trace %016x has a wire_tx hop for a frame that never encapsulated", p.Tag)
+			}
+		}
+	}
+	scrape := scrapeMetrics(t, na)
+	if c := metricValue(t, scrape, "vnetp_tx_latency_seconds_count"); c != 0 {
+		t.Fatalf("tx latency histogram counted %v samples for a frame that never hit the wire", c)
+	}
+}
+
 // TestTCPDialFailureChargesWholeBatch pins the documented TCP
 // accounting rule's failed-dial corner: no datagram was confirmed, so
 // the whole batch lands in send_errors and none of it in bytes_sent —

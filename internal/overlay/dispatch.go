@@ -322,7 +322,7 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 	}
 	s.Frames.Add(1)
 	n.EncapRecv.Add(1)
-	n.routeTenantAt(frame, nil, time.Time{}, tenant)
+	n.route(frame, nil, time.Time{}, tenant)
 	// The Fig. 7 RX stage budget on the real path: the completing
 	// datagram's socket read to the frame handed off past routing. The
 	// same sample lands in the owning tenant's latency SLI.

@@ -94,6 +94,36 @@ func TestDropSiteNoRoute(t *testing.T) {
 	}
 }
 
+// TestDropSiteRouteToAbsentInterface: a route naming an interface no
+// endpoint is attached under is a no_route drop, like a route naming a
+// deleted link — not a silent loss.
+func TestDropSiteRouteToAbsentInterface(t *testing.T) {
+	n := dropNode(t, NodeConfig{})
+	ep, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost := ethernet.LocalMAC(99)
+	if err := n.AddRoute(core.Route{DstMAC: ghost, DstQual: core.QualExact, SrcQual: core.QualAny,
+		Dest: core.Destination{Type: core.DestInterface, ID: "ghost"}}); err != nil {
+		t.Fatal(err)
+	}
+	ep.Send(testFrame(ep.MAC(), ghost))
+	if got, legacy := n.ledger.Count(dropNoRoute), n.NoRouteDrop.Load(); got != 1 || got != legacy {
+		t.Fatalf("no_route ledger=%d legacy=%d, want 1", got, legacy)
+	}
+	var sum uint64
+	for _, r := range dropReasons {
+		sum += n.ledger.Count(r)
+	}
+	if total := n.ledger.Total(); total != sum {
+		t.Fatalf("ledger total %d != sum of reasons %d", total, sum)
+	}
+	if tail := n.ledger.Tail(dropNoRoute); len(tail) != 1 || tail[0].Scope != "ghost" {
+		t.Fatalf("no_route detail = %+v, want one drop scoped to ghost", tail)
+	}
+}
+
 func TestDropSiteBadPacket(t *testing.T) {
 	n := dropNode(t, NodeConfig{Dispatchers: 1})
 	n.inject("10.0.0.1:1", []byte{0xde, 0xad, 0xbe, 0xef})

@@ -1,12 +1,11 @@
-// The per-flow fast path (ISSUE 9): a flat (tenant, srcMAC, dstMAC) →
+// The per-flow fast path: a flat (tenant, srcMAC, dstMAC) →
 // forwarding-decision cache in front of the routing machinery, modeled
 // on ONCache's observation that an overlay matches its baseline by
 // caching the *entire* per-packet decision, not just the route. A hit
-// resolves the destination endpoint or link, the encapsulation budget,
-// the seal context, and the prebuilt header template in one sharded
-// map read — no tenant-table lookup, no route-cache probe, and no
-// node-mutex acquisition — so the steady-state hot path is one cache
-// hit + one header memcpy + TX-ring enqueue.
+// resolves the destination endpoint or link and the flow's accounting
+// handles in one sharded map read — no tenant-table lookup, no
+// route-cache probe, and no node-mutex acquisition — and hands the
+// decision to the same executor (forward) a miss uses.
 //
 // Correctness rests on epoch-based invalidation: the node keeps a
 // single atomic flow epoch, and every event that can change a
@@ -24,16 +23,10 @@
 package overlay
 
 import (
-	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vnetp/internal/core"
-	"vnetp/internal/ethernet"
-	"vnetp/internal/telemetry"
-	"vnetp/internal/trace"
 )
 
 // defaultFlowCacheSize is the default total entry capacity across all
@@ -45,10 +38,11 @@ const defaultFlowCacheSize = 16384
 // the packed flow key. Power of two for cheap masking.
 const flowShards = 16
 
-// flowEntry is one cached forwarding decision. All fields are
-// immutable after the entry is stored; mutable link state (tunables,
-// fault conduits, transport upgrades) is either read through the link
-// pointer's own atomics or guarded by an epoch bump at mutation time.
+// flowEntry is one forwarding decision: what a route lookup resolves a
+// destination to, and what the flow cache stores for a unicast flow.
+// All fields are immutable once the entry is stored; mutable link state
+// (tunables, transport) is read through the link pointer's own atomics
+// at transmit time.
 type flowEntry struct {
 	epoch  uint64 // flow epoch observed before the backing lookup
 	tenant uint32
@@ -67,15 +61,15 @@ type flowEntry struct {
 	// Exactly one of ep/lk is non-nil: local delivery or link forward.
 	ep *Endpoint
 	lk *link
+}
 
-	// Synchronous-transmit snapshot (meaningful when lk != nil and the
-	// link has no TX ring): the encapsulation budget for the link's
-	// transport, and whether the datagrams may go straight to the UDP
-	// socket (fastUDP: UDP transport, no fault conduit) with the
-	// prebuilt header template instead of the general send path.
-	budget  int
-	fastUDP bool
-	addr    *net.UDPAddr
+// crossTenant reports whether the decision's endpoint or link is bound
+// to a different tenant than the frame — the tenancy guard.
+func (e *flowEntry) crossTenant() bool {
+	if e.ep != nil {
+		return e.ep.tenant != e.tenant
+	}
+	return e.lk.tenant != e.tenant
 }
 
 // flowShard is one cache segment. The map is read under the shard
@@ -176,99 +170,3 @@ func (n *Node) FlowCacheStats() (hits, misses, evictions uint64, entries int) {
 // FlowEpoch exposes the current flow epoch (tests pin that specific
 // events bump it).
 func (n *Node) FlowEpoch() uint64 { return n.flowEpoch.Load() }
-
-// flowHit forwards one frame from a cached decision — the hot path.
-// The tenancy guards re-run here on immutable fields (entry, endpoint,
-// and link tenants are all fixed at their creation), so even a
-// hypothetical stale entry surviving an epoch bump could not cross
-// tenants.
-func (n *Node) flowHit(e *flowEntry, f *ethernet.Frame, from *Endpoint, at time.Time, tenant uint32) error {
-	if from != nil {
-		if fl := e.fl; fl != nil {
-			atomic.AddUint64(&fl.Bytes, uint64(f.Len()))
-			atomic.AddUint64(&fl.Packets, 1)
-		} else {
-			n.flows.Record(f.Src, f.Dst, f.Len())
-		}
-		e.sli.framesOut.Add(1)
-		e.sli.bytesOut.Add(uint64(f.Len()))
-	}
-	if f.Tag != 0 {
-		n.tracer.Record(f.Tag, trace.StageRouteLookup)
-	}
-	if e.ep != nil {
-		ep := e.ep
-		if ep == from {
-			return nil
-		}
-		if ep.tenant != tenant {
-			n.metrics.crossTenantDrops.Add(1)
-			n.drop(dropCrossTenant, 1, telemetry.DropDetail{
-				Tenant: tenant, Scope: ep.name, Stage: "flow_hit",
-				Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-			})
-			return nil
-		}
-		ep.deliver(f)
-		n.Delivered.Add(1)
-		if f.Tag != 0 {
-			n.tracer.Record(f.Tag, trace.StageDeliver)
-			n.log.Debug("traced frame delivered",
-				"trace_id", fmt.Sprintf("%016x", f.Tag), "interface", ep.name)
-		}
-		return nil
-	}
-	lk := e.lk
-	if lk.tenant != tenant {
-		n.metrics.crossTenantDrops.Add(1)
-		n.drop(dropCrossTenant, 1, telemetry.DropDetail{
-			Tenant: tenant, Scope: lk.id, Stage: "flow_hit",
-			Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-		})
-		return nil
-	}
-	if lk.txq != nil {
-		if f.Tag != 0 {
-			n.tracer.Record(f.Tag, trace.StageTxEnqueue)
-		}
-		n.enqueueTx(lk, txFrame{f: f, at: at})
-		return nil
-	}
-	if err := n.sendEncapCached(e, f); err != nil {
-		return fmt.Errorf("link %q: %w", lk.id, err)
-	}
-	if !at.IsZero() {
-		n.metrics.txLatency.Observe(time.Since(at).Seconds())
-	}
-	return nil
-}
-
-// sendEncapCached is the synchronous transmit leg of a flow-cache hit:
-// template encapsulation plus a direct socket write when the cached
-// snapshot allows it. Traced frames need the trace extension and
-// faulted or TCP links need the general transport path, so both fall
-// back to sendEncap — correctness first, the template is purely a
-// fast-path encoding of the identical wire bytes.
-func (n *Node) sendEncapCached(e *flowEntry, f *ethernet.Frame) error {
-	lk := e.lk
-	if f.Tag != 0 || !e.fastUDP {
-		return n.sendEncap(lk, f)
-	}
-	pkt, err := n.encap.EncapsulateTemplate(f, n.nextID.Add(1), e.budget, lk.tmpl, lk.sealer)
-	if err != nil {
-		return err
-	}
-	defer pkt.Release()
-	if lk.sealer != nil {
-		n.metrics.sealSealed.Add(uint64(len(pkt.Datagrams)))
-	}
-	for _, d := range pkt.Datagrams {
-		if _, err := n.conn.WriteToUDP(d, e.addr); err != nil {
-			lk.sendErrors.Add(1)
-			return err
-		}
-		lk.bytesSent.Add(uint64(len(d)))
-	}
-	n.EncapSent.Add(1)
-	return nil
-}

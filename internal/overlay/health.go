@@ -285,7 +285,7 @@ func (n *Node) healthTick() {
 				n.noteProbeLocked(lk, false)
 			}
 		}
-		if lk.proto == "tcp" && lk.tcp == nil {
+		if lk.tr.Load().proto == "tcp" && lk.tcp == nil {
 			// No transport: probing is impossible. Count the round as a
 			// miss so the state machine converges on Down, and redial
 			// once the backoff allows.
@@ -304,7 +304,7 @@ func (n *Node) healthTick() {
 
 	for _, p := range probes {
 		// Best effort: a failed send surfaces as a lost probe.
-		n.sendOnLink(p.lk, p.d)
+		n.sendDatagram(p.lk, p.lk.tr.Load(), p.d)
 	}
 	for _, lk := range redials {
 		n.dialTCP(lk) // errors advance the backoff internally
@@ -346,13 +346,13 @@ func (n *Node) noteProbeLocked(lk *link, ok bool) {
 	h.stateGauge.Set(float64(h.state))
 	// Sustained-lossy UDP links escape to TCP encapsulation (the paper's
 	// lossy/wide-area path transport).
-	if lk.proto == "udp" && cfg.AutoUpgradeLossPct > 0 &&
+	if tr := lk.tr.Load(); tr.proto == "udp" && cfg.AutoUpgradeLossPct > 0 &&
 		h.windowLen == len(h.window) && h.lossRate() >= cfg.AutoUpgradeLossPct {
-		lk.proto = "tcp"
+		lk.tr.Store(n.newTransport(lk, "tcp", tr.addr, tr.fault))
 		h.upgrades.Inc()
 		h.resetWindow() // the TCP transport starts with a clean history
-		// Cached flow decisions snapshot the transport (budget, direct-
-		// UDP eligibility); the upgraded link needs fresh ones.
+		// A transport change retires the cached decisions, like every
+		// other link mutation.
 		n.bumpFlowEpoch()
 	}
 }

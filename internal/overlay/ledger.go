@@ -18,7 +18,8 @@ import "vnetp/internal/telemetry"
 // Ledger drop reasons. Every datapath drop site reports exactly one.
 const (
 	// dropNoRoute: a frame with no usable destination — unknown tenant,
-	// no matching route, or a route naming a deleted link.
+	// no matching route, or a route naming a deleted link or an absent
+	// interface.
 	dropNoRoute = "no_route"
 	// dropBadPacket: a malformed encapsulation datagram (parse or
 	// reassembly failure) on any receive path.

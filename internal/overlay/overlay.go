@@ -77,6 +77,31 @@ func (ep *Endpoint) Send(f *ethernet.Frame) error {
 	if ep.node.draining.Load() {
 		return ErrDraining
 	}
+	return ep.send(f, time.Now())
+}
+
+// SendBatch routes a batch of frames in one call — the overlay-side
+// mirror of virtio's single-exit multi-packet dequeue. The whole batch
+// shares one arrival timestamp and per-frame errors (MTU violations,
+// synchronous transport failures) are aggregated rather than aborting
+// the rest of the batch.
+func (ep *Endpoint) SendBatch(frames []*ethernet.Frame) error {
+	if ep.node.draining.Load() {
+		return ErrDraining
+	}
+	at := time.Now()
+	var errs []error
+	for _, f := range frames {
+		if err := ep.send(f, at); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// send is the per-frame half of Send and SendBatch: the MTU check, the
+// tracer's sampling decision, and routing in the endpoint's tenant.
+func (ep *Endpoint) send(f *ethernet.Frame, at time.Time) error {
 	if f.PayloadLen() > ep.mtu {
 		return fmt.Errorf("overlay: frame payload %d exceeds endpoint MTU %d", f.PayloadLen(), ep.mtu)
 	}
@@ -93,36 +118,7 @@ func (ep *Endpoint) Send(f *ethernet.Frame) error {
 	} else if f.Tag != 0 {
 		f.Tag = 0
 	}
-	return ep.node.route(f, ep)
-}
-
-// SendBatch routes a batch of frames in one call — the overlay-side
-// mirror of virtio's single-exit multi-packet dequeue. The whole batch
-// shares one arrival timestamp and per-frame errors (MTU violations,
-// synchronous transport failures) are aggregated rather than aborting
-// the rest of the batch.
-func (ep *Endpoint) SendBatch(frames []*ethernet.Frame) error {
-	if ep.node.draining.Load() {
-		return ErrDraining
-	}
-	at := time.Now()
-	var errs []error
-	for _, f := range frames {
-		if f.PayloadLen() > ep.mtu {
-			errs = append(errs, fmt.Errorf("overlay: frame payload %d exceeds endpoint MTU %d", f.PayloadLen(), ep.mtu))
-			continue
-		}
-		if id := ep.node.tracer.SampleTX(f.Src, f.Dst); id != 0 {
-			f.Tag = id
-			ep.node.tracer.Record(id, trace.StageVirtioPop)
-		} else if f.Tag != 0 {
-			f.Tag = 0
-		}
-		if err := ep.node.routeAt(f, ep, at); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+	return ep.node.route(f, ep, at, ep.tenant)
 }
 
 // Recv waits up to timeout for a delivered frame. A frame already
@@ -187,12 +183,15 @@ func (ep *Endpoint) deliver(f *ethernet.Frame) {
 
 type link struct {
 	id     string
-	proto  string
 	remote string
-	addr   *net.UDPAddr      // UDP links (kept after an upgrade to TCP)
-	tcp    *tcpConn          // TCP links, dialed lazily
-	fault  *faultnet.Conduit // optional fault injection on the send path
-	health *linkHealth       // liveness state, nil until monitored
+	tcp    *tcpConn    // TCP links, dialed lazily
+	health *linkHealth // liveness state, nil until monitored
+
+	// tr is the link's transport snapshot (protocol, address, fault
+	// conduit, datagram budget). SetLinkFault and the UDP→TCP
+	// auto-upgrade publish a fresh one under n.mu; transmit, the health
+	// monitor and LINK STATUS read it lock-free.
+	tr atomic.Pointer[linkTransport]
 
 	// tenant binds the link to one tenant's VNET; sealer is the tenant's
 	// per-link AEAD encryptor (nil on tenant-0 plaintext links — the
@@ -200,12 +199,6 @@ type link struct {
 	// check is always valid). Both are immutable after AddLink.
 	tenant uint32
 	sealer bridge.LinkSealer
-
-	// tmpl is the link's prebuilt encapsulation header template (sealed
-	// for tenant links, plain otherwise): the flow cache and the batched
-	// sender stamp per-fragment fields into a memcpy of it instead of
-	// re-marshalling the header per fragment. Immutable after AddLink.
-	tmpl *bridge.EncapTemplate
 
 	// Batched transmit state (NodeConfig.TxBatch > 1): a bounded ring of
 	// outbound frames drained by this link's sender goroutine (txLoop).
@@ -610,11 +603,11 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	default:
 		return fmt.Errorf("overlay: unknown link protocol %q", proto)
 	}
-	lk := &link{id: id, proto: proto, remote: remote, addr: addr, tenant: tenant}
+	lk := &link{id: id, remote: remote, tenant: tenant}
 	if sealer != nil {
 		lk.sealer = sealer
 	}
-	lk.tmpl = bridge.NewEncapTemplate(sealer)
+	lk.tr.Store(n.newTransport(lk, proto, addr, nil))
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -675,8 +668,8 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 // unmapLinkAddrLocked removes a link's addr→link attribution entry if it
 // still points at lk. Caller holds n.mu.
 func (n *Node) unmapLinkAddrLocked(lk *link) {
-	if lk.addr != nil {
-		key := lk.addr.String()
+	if addr := lk.tr.Load().addr; addr != nil {
+		key := addr.String()
 		if n.linkByAddr[key] == lk {
 			delete(n.linkByAddr, key)
 		}
@@ -730,9 +723,10 @@ func (n *Node) SetLinkFault(id string, c *faultnet.Conduit) error {
 	if !ok {
 		return fmt.Errorf("overlay: no link %q", id)
 	}
-	lk.fault = c
-	// Cached synchronous-send decisions snapshot the fault conduit's
-	// presence (flowEntry.fastUDP); they must be rebuilt around it.
+	tr := lk.tr.Load()
+	lk.tr.Store(n.newTransport(lk, tr.proto, tr.addr, c))
+	// A fault install changes where the link's datagrams go; like every
+	// other link mutation it retires the cached decisions.
 	n.bumpFlowEpoch()
 	return nil
 }
@@ -932,66 +926,52 @@ func (n *Node) Interfaces() []string {
 	return out
 }
 
-// route forwards a frame per the routing table. from is non-nil for
-// locally originated frames (their source endpoint is skipped on
-// broadcast). A failing destination does not abort the fan-out: every
-// remaining destination (including local endpoints) still gets its copy,
-// and the per-destination errors are aggregated — a broadcast hitting one
-// dead link must not starve the rest of the LAN.
-func (n *Node) route(f *ethernet.Frame, from *Endpoint) error {
-	var at time.Time
-	if from != nil {
-		at = time.Now()
-	}
-	return n.routeAt(f, from, at)
-}
-
-// routeAt is route with the frame-arrival timestamp supplied by the
-// caller, so batched senders (Endpoint.SendBatch) stamp a whole batch
-// once. at is zero for forwarded (remotely originated) frames. The
-// frame routes in its tenant's namespace: the sending endpoint's tenant
-// for local frames (forwarded sealed frames enter via routeTenantAt
-// with the authenticated wire tenant).
-func (n *Node) routeAt(f *ethernet.Frame, from *Endpoint, at time.Time) error {
-	var tenant uint32
-	if from != nil {
-		tenant = from.tenant
-	}
-	return n.routeTenantAt(f, from, at, tenant)
-}
-
-// routeTenantAt routes one frame inside one tenant's namespace. The
-// lookup uses only the tenant's private table, and both delivery legs
-// re-check tenancy — an endpoint or link whose binding disagrees with
-// the frame's tenant is skipped and counted (cross_tenant_drops) rather
-// than trusted, so a misinstalled route cannot leak frames across
-// tenants.
-func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, tenant uint32) error {
-	// Per-flow fast path: a current cache entry resolves the entire
-	// forwarding decision in one sharded read. Only unicast flows are
-	// cacheable (broadcast fans out to a destination set). The fill
-	// epoch is captured BEFORE the backing route lookup: an
-	// invalidation racing the lookup lands the entry already stale, so
-	// a hit can never serve a decision older than the last epoch bump
-	// it observed. Flow accounting for hits happens inside flowHit
-	// (atomic adds on the entry's cached accounting pointer); the
-	// hash + lock + map probe of FlowStats.Record is paid only here,
-	// on the miss path.
+// route forwards one frame inside one tenant's namespace: the sending
+// endpoint's tenant for local frames, the authenticated wire tenant for
+// forwarded ones (from == nil, at zero). at is the frame's local-arrival
+// timestamp, stamped once per SendBatch. A current flow-cache entry is
+// the whole forwarding decision; a miss looks the frame up in the
+// tenant's private table, resolves each destination into the same
+// decision value, caches a unicast one, and forwards each. A failing
+// destination does not abort a fan-out: every remaining destination
+// still gets its copy and the per-destination errors are aggregated — a
+// broadcast hitting one dead link must not starve the rest of the LAN.
+func (n *Node) route(f *ethernet.Frame, from *Endpoint, at time.Time, tenant uint32) error {
+	// Only unicast flows are cacheable (broadcast fans out to a
+	// destination set). The fill epoch is captured BEFORE the backing
+	// route lookup: an invalidation racing the lookup lands the entry
+	// already stale, so a hit can never serve a decision older than the
+	// last epoch bump it observed. A hit accounts its frame with atomic
+	// adds on the entry's cached handles; the hash + lock + map probe of
+	// FlowStats.Record is paid only on the miss path.
 	var (
-		fc        *flowCache
 		key       core.FlowKey
 		fillEpoch uint64
-		fl        *core.Flow
+		cacheable bool
 	)
 	if n.fcache != nil && !f.Dst.IsBroadcast() && !f.Dst.IsMulticast() {
 		key = core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}
 		fillEpoch = n.flowEpoch.Load()
 		if e := n.fcache.lookup(key, fillEpoch); e != nil {
-			return n.flowHit(e, f, from, at, tenant)
+			if from != nil {
+				if fl := e.fl; fl != nil {
+					atomic.AddUint64(&fl.Bytes, uint64(f.Len()))
+					atomic.AddUint64(&fl.Packets, 1)
+				} else {
+					n.flows.Record(f.Src, f.Dst, f.Len())
+				}
+				e.sli.framesOut.Add(1)
+				e.sli.bytesOut.Add(uint64(f.Len()))
+			}
+			if f.Tag != 0 {
+				n.tracer.Record(f.Tag, trace.StageRouteLookup)
+			}
+			return n.forward(e, f, from, at)
 		}
-		fc = n.fcache
+		cacheable = true
 	}
 	sli := n.slis.get(tenant)
+	var fl *core.Flow
 	if from != nil {
 		sli.framesOut.Add(1)
 		sli.bytesOut.Add(uint64(f.Len()))
@@ -1008,158 +988,113 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 	}
 	tbl := n.tenants.Table(tenant)
 	if tbl == nil {
-		n.NoRouteDrop.Add(1)
-		n.drop(dropNoRoute, 1, telemetry.DropDetail{
-			Tenant: tenant, Stage: "route",
-			Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-		})
+		n.noRoute(f, tenant, "")
 		return fmt.Errorf("overlay: unknown tenant %d", tenant)
 	}
 	dests, _, err := tbl.Lookup(f.Src, f.Dst)
 	if err != nil {
-		n.NoRouteDrop.Add(1)
-		n.drop(dropNoRoute, 1, telemetry.DropDetail{
-			Tenant: tenant, Stage: "route",
-			Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-		})
+		n.noRoute(f, tenant, "")
 		return err
 	}
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
-	cacheable := fc != nil && len(dests) == 1
-	var errs []error
-	sentOnLink := false
+	// Resolve every destination under one n.mu hold, so a fan-out's
+	// decisions come from one instant of endpoint and link state.
+	var buf [4]flowEntry
+	ents := buf[:0]
+	n.mu.Lock()
 	for _, d := range dests {
-		switch d.Type {
-		case core.DestInterface:
-			n.mu.Lock()
-			ep := n.eps[d.ID]
-			n.mu.Unlock()
-			if ep == nil {
-				continue
-			}
-			if ep.tenant != tenant {
-				n.metrics.crossTenantDrops.Add(1)
-				n.drop(dropCrossTenant, 1, telemetry.DropDetail{
-					Tenant: tenant, Scope: d.ID, Stage: "route",
-					Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-				})
-				continue
-			}
-			if cacheable {
-				fc.store(key, &flowEntry{epoch: fillEpoch, tenant: tenant, ep: ep, fl: fl, sli: sli})
-			}
-			if ep == from {
-				continue
-			}
-			ep.deliver(f)
-			n.Delivered.Add(1)
-			if f.Tag != 0 {
-				n.tracer.Record(f.Tag, trace.StageDeliver)
-				n.log.Debug("traced frame delivered",
-					"trace_id", fmt.Sprintf("%016x", f.Tag), "interface", d.ID)
-			}
-		case core.DestLink:
-			n.mu.Lock()
-			lk := n.links[d.ID]
-			var ent *flowEntry
-			if lk != nil && lk.tenant == tenant && cacheable {
-				// Snapshot the synchronous-transmit parameters under the
-				// same n.mu hold that resolved the link, so the entry is
-				// consistent with one instant of link state.
-				ent = &flowEntry{
-					epoch: fillEpoch, tenant: tenant, lk: lk, fl: fl, sli: sli,
-					budget:  maxDatagram,
-					fastUDP: lk.proto == "udp" && lk.fault == nil && lk.txq == nil,
-					addr:    lk.addr,
-				}
-				if lk.proto == "tcp" {
-					ent.budget = tcpMaxDatagram
-				}
-			}
-			n.mu.Unlock()
-			if lk == nil {
-				n.NoRouteDrop.Add(1)
-				n.drop(dropNoRoute, 1, telemetry.DropDetail{
-					Tenant: tenant, Scope: d.ID, Stage: "route",
-					Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-				})
-				continue
-			}
-			if lk.tenant != tenant {
-				n.metrics.crossTenantDrops.Add(1)
-				n.drop(dropCrossTenant, 1, telemetry.DropDetail{
-					Tenant: tenant, Scope: d.ID, Stage: "route",
-					Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-				})
-				continue
-			}
-			if ent != nil {
-				fc.store(key, ent)
-			}
-			if lk.txq != nil {
-				// Batched mode: hand the frame to the link's sender ring.
-				// Transport errors surface in the link's send_errors
-				// counter (txLoop), not here; the TX latency sample is
-				// taken after the batch actually hits the wire. The
-				// tx_enqueue hop is recorded before the handoff so it
-				// cannot race the sender's encap hop.
-				if f.Tag != 0 {
-					n.tracer.Record(f.Tag, trace.StageTxEnqueue)
-				}
-				n.enqueueTx(lk, txFrame{f: f, at: at})
-				continue
-			}
-			if err := n.sendEncap(lk, f); err != nil {
-				errs = append(errs, fmt.Errorf("link %q: %w", d.ID, err))
-			} else {
-				sentOnLink = true
-			}
+		e := flowEntry{epoch: fillEpoch, tenant: tenant, fl: fl, sli: sli}
+		if d.Type == core.DestInterface {
+			e.ep = n.eps[d.ID]
+		} else {
+			e.lk = n.links[d.ID]
 		}
+		ents = append(ents, e)
 	}
-	// The Fig. 7 TX stage budget on the real path: locally originated
-	// frame arrival to its last encapsulation datagram leaving a link.
-	if !at.IsZero() && sentOnLink {
-		n.metrics.txLatency.Observe(time.Since(at).Seconds())
+	n.mu.Unlock()
+	var errs []error
+	for i := range ents {
+		e := &ents[i]
+		if e.ep == nil && e.lk == nil {
+			// A route naming a deleted link or an absent interface.
+			n.noRoute(f, tenant, dests[i].ID)
+			continue
+		}
+		if cacheable && len(ents) == 1 && !e.crossTenant() {
+			stored := *e
+			n.fcache.store(key, &stored)
+		}
+		if err := n.forward(e, f, from, at); err != nil {
+			errs = append(errs, err)
+		}
 	}
 	return errors.Join(errs...)
 }
 
-// sendEncap encapsulates and transmits a frame over a link synchronously,
-// fragmenting to the datagram budget. Encapsulation buffers come from the
-// node's pool and are recycled before return. A traced frame's context
-// rides the wire in every fragment's trace extension; on a tenant-bound
-// link every fragment is sealed under the tenant's key.
-func (n *Node) sendEncap(lk *link, f *ethernet.Frame) error {
-	id := n.nextID.Add(1)
-	n.mu.Lock()
-	proto := lk.proto
-	n.mu.Unlock()
-	sl := lk.sealer // immutable after AddLink
-	budget := maxDatagram
-	if proto == "tcp" {
-		budget = tcpMaxDatagram
-	}
-	pkt, err := n.encap.EncapsulateSealed(f, id, budget, n.traceExt(f.Tag), sl)
-	if err != nil {
-		return err
-	}
-	defer pkt.Release()
-	if sl != nil {
-		n.metrics.sealSealed.Add(uint64(len(pkt.Datagrams)))
-	}
-	if f.Tag != 0 {
-		n.tracer.Record(f.Tag, trace.StageEncap)
-	}
-	for _, d := range pkt.Datagrams {
-		if err := n.sendOnLink(lk, d); err != nil {
-			return err
+// noRoute counts a frame with no usable destination (scope names the
+// dead link or absent interface a route pointed at, if any).
+func (n *Node) noRoute(f *ethernet.Frame, tenant uint32, scope string) {
+	n.NoRouteDrop.Add(1)
+	n.drop(dropNoRoute, 1, telemetry.DropDetail{
+		Tenant: tenant, Scope: scope, Stage: "route",
+		Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
+	})
+}
+
+// forward carries out one forwarding decision — the one executor behind
+// flow-cache hits and misses alike. The tenancy guard re-runs here on
+// immutable fields (entry, endpoint, and link tenants are all fixed at
+// creation), so a misinstalled route — or even a hypothetical stale
+// entry surviving an epoch bump — is counted and stopped rather than
+// trusted. A local endpoint gets the frame delivered (never the one
+// that sent it); a link gets it on its TX ring in batched mode, or
+// transmitted now as a one-frame batch.
+func (n *Node) forward(e *flowEntry, f *ethernet.Frame, from *Endpoint, at time.Time) error {
+	if e.crossTenant() {
+		var scope string
+		if e.ep != nil {
+			scope = e.ep.name
+		} else {
+			scope = e.lk.id
 		}
+		n.metrics.crossTenantDrops.Add(1)
+		n.drop(dropCrossTenant, 1, telemetry.DropDetail{
+			Tenant: e.tenant, Scope: scope, Stage: "route",
+			Flow: core.FlowKey{Tenant: e.tenant, Src: f.Src, Dst: f.Dst}.String(),
+		})
+		return nil
 	}
-	n.EncapSent.Add(1)
-	if f.Tag != 0 {
-		n.tracer.Record(f.Tag, trace.StageWireTx)
+	if ep := e.ep; ep != nil {
+		if ep == from {
+			return nil
+		}
+		ep.deliver(f)
+		n.Delivered.Add(1)
+		if f.Tag != 0 {
+			n.tracer.Record(f.Tag, trace.StageDeliver)
+			n.log.Debug("traced frame delivered",
+				"trace_id", fmt.Sprintf("%016x", f.Tag), "interface", ep.name)
+		}
+		return nil
+	}
+	lk := e.lk
+	if lk.txq != nil {
+		// Batched mode: the tx_enqueue hop is recorded before the
+		// handoff so it cannot race the sender's encap hop; transport
+		// errors surface in the link's send_errors counter.
+		if f.Tag != 0 {
+			n.tracer.Record(f.Tag, trace.StageTxEnqueue)
+		}
+		n.enqueueTx(lk, txFrame{f: f, at: at})
+		return nil
+	}
+	s := getTxScratch()
+	err := n.transmit(lk, []txFrame{{f: f, at: at}}, s)
+	txScratches.Put(s)
+	if err != nil {
+		return fmt.Errorf("link %q: %w", lk.id, err)
 	}
 	return nil
 }
@@ -1177,53 +1112,6 @@ func (n *Node) traceExt(tag uint64) *bridge.TraceExt {
 		return nil
 	}
 	return &bridge.TraceExt{ID: tag, Origin: origin, Flags: flags}
-}
-
-// sendOnLink pushes one encapsulation datagram onto a link's transport,
-// through the link's fault conduit when one is installed. Both data and
-// heartbeat probes funnel through here. Every transport failure — even
-// inside a conduit's (possibly asynchronous) delivery callback, where the
-// error cannot be returned — lands in the link's send_errors counter so
-// chaos tests and the health monitor observe it.
-func (n *Node) sendOnLink(lk *link, d []byte) error {
-	n.mu.Lock()
-	fault, proto, addr := lk.fault, lk.proto, lk.addr
-	n.mu.Unlock()
-	send := func(p []byte) error {
-		if proto == "tcp" {
-			c, err := n.dialTCP(lk)
-			if err != nil {
-				return err
-			}
-			if err := c.sendDatagram(p); err != nil {
-				n.dropTransport(lk, c)
-				return err
-			}
-			return nil
-		}
-		_, err := n.conn.WriteToUDP(p, addr)
-		return err
-	}
-	if fault != nil {
-		// The conduit may deliver asynchronously (delay/reorder faults),
-		// after the pooled encapsulation buffer behind d has been
-		// recycled — hand it a private copy.
-		d = append([]byte(nil), d...)
-		fault.Send(d, func(p any) {
-			if err := send(p.([]byte)); err != nil {
-				lk.sendErrors.Add(1)
-			} else {
-				lk.bytesSent.Add(uint64(len(p.([]byte))))
-			}
-		})
-		return nil
-	}
-	if err := send(d); err != nil {
-		lk.sendErrors.Add(1)
-		return err
-	}
-	lk.bytesSent.Add(uint64(len(d)))
-	return nil
 }
 
 // probeEvent is one control datagram (probe or probe reply) handed from

@@ -53,7 +53,7 @@ func (c *tcpConn) sendDatagram(d []byte) error {
 // sendDatagrams writes a whole batch of length-prefixed datagrams under
 // one writer-lock acquisition and a single flush — the TCP analogue of
 // the UDP path's sendmmsg. Returns how many datagrams were confirmed,
-// mirroring sendBatchUDP: every datagram fully written before a
+// mirroring udpBatch.send: every datagram fully written before a
 // mid-batch write error counts (the buffered writer flushed them
 // implicitly to make room), and a successful final flush confirms the
 // whole batch — but a failed final flush confirms nothing, since any of

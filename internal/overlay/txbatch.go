@@ -1,5 +1,7 @@
-// The batched transmit path: the send-side twin of the paper's
-// VMM-driven dispatch result (Sect. 4.3, Table 1). With
+// The transmit path. Every data frame leaves through transmit: the
+// synchronous path calls it with a one-frame batch, and the batched path
+// — the send-side twin of the paper's VMM-driven dispatch result (Sect.
+// 4.3, Table 1) — with whatever a link's sender collected. With
 // NodeConfig.TxBatch > 1, every link owns a bounded TX ring drained by a
 // sender goroutine that coalesces frames per wakeup — flushing on
 // batch-full or a short TxFlushTimeout, the adaptive hysteresis idea
@@ -11,11 +13,13 @@ package overlay
 
 import (
 	"net"
+	"sync"
 	"time"
 
 	"vnetp/internal/bridge"
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
+	"vnetp/internal/faultnet"
 	"vnetp/internal/supervise"
 	"vnetp/internal/telemetry"
 	"vnetp/internal/trace"
@@ -47,14 +51,68 @@ func (n *Node) enqueueTx(lk *link, tf txFrame) {
 	}
 }
 
-// txScratch is a txLoop's reusable per-batch state: the encapsulated
-// packets awaiting Release and the flattened datagram list handed to the
-// transport. Reusing the slice headers keeps the steady-state flush
-// allocation-free.
+// linkTransport is a link's transport state, immutable once published
+// on link.tr: a fault install or a UDP→TCP upgrade publishes a fresh
+// snapshot instead of mutating this one, so a transmit in flight uses
+// one consistent view.
+type linkTransport struct {
+	proto  string
+	addr   *net.UDPAddr      // UDP remote (kept after an upgrade to TCP)
+	fault  *faultnet.Conduit // optional fault injection on the send path
+	budget int               // encapsulation datagram budget for proto
+	sa     rawSockaddr       // addr prepared for sendmmsg (UDP only)
+
+	// deliver is the fault conduit's delivery callback (nil without a
+	// conduit): it puts a released datagram on this transport's wire
+	// leg, bypassing the conduit. Built once per snapshot.
+	deliver func(any)
+}
+
+// newTransport builds a transport snapshot for lk.
+func (n *Node) newTransport(lk *link, proto string, addr *net.UDPAddr, fault *faultnet.Conduit) *linkTransport {
+	tr := &linkTransport{proto: proto, addr: addr, fault: fault, budget: maxDatagram}
+	if proto == "tcp" {
+		tr.budget = tcpMaxDatagram
+	} else {
+		tr.sa = sockaddrFor(n.conn, addr)
+	}
+	if fault != nil {
+		wire := *tr
+		wire.fault = nil
+		tr.deliver = func(p any) { n.sendDatagram(lk, &wire, p.([]byte)) }
+	}
+	return tr
+}
+
+// txScratch is one transmit's reusable state: the frames that
+// encapsulated, the flattened datagram list handed to the transport,
+// and the platform's batch-send arrays. A txLoop owns one; synchronous
+// sends borrow one from txScratches. Reusing them keeps a steady-state
+// transmit allocation-free.
 type txScratch struct {
-	pkts   []*bridge.EncapPacket
-	dgs    [][]byte
-	frames []txFrame // the batch entries that actually encapsulated
+	enc []encFrame
+	dgs [][]byte
+	udp udpBatch
+}
+
+// encFrame is one encapsulated frame of a transmit: its packet, held
+// until Release, and the end of its datagrams in txScratch.dgs.
+type encFrame struct {
+	txFrame
+	pkt *bridge.EncapPacket
+	end int
+}
+
+// txScratches lends scratches to synchronous sends, heartbeat probes
+// and fault-conduit deliveries.
+var txScratches sync.Pool
+
+func getTxScratch() *txScratch {
+	s, _ := txScratches.Get().(*txScratch)
+	if s == nil {
+		s = new(txScratch)
+	}
+	return s
 }
 
 // txLoop is one link's sender goroutine: it blocks for the first frame
@@ -122,7 +180,7 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 				}
 			}
 		}
-		n.sendTxBatch(lk, batch, &scratch)
+		n.transmit(lk, batch, &scratch)
 		n.metrics.txBatchSize.Observe(float64(len(batch)))
 		for i := range batch {
 			batch[i] = txFrame{} // drop frame refs; the ring owns nothing past a flush
@@ -132,108 +190,104 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 	}
 }
 
-// sendTxBatch encapsulates and transmits one collected batch. The link's
-// transport parameters are snapshotted once per batch (a concurrent
-// auto-upgrade to TCP or fault install applies from the next batch on).
-// Transport errors land in the link's send_errors counter — the batched
-// path has no caller to return them to.
-//
-// Accounting rule, shared by both transports: a datagram is charged to
-// bytes_sent only once the transport confirms it (UDP: counted sent by
-// sendmmsg; TCP: fully written before any mid-batch write error, or the
-// whole batch once the final flush succeeds — a failed flush confirms
-// nothing it buffered). Every unconfirmed datagram is one send_errors
-// count; a datagram never lands in both.
-func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
-	n.mu.Lock()
-	fault, proto, addr := lk.fault, lk.proto, lk.addr
-	n.mu.Unlock()
-	sl := lk.sealer // immutable after AddLink
-	budget := maxDatagram
-	if proto == "tcp" {
-		budget = tcpMaxDatagram
-	}
-	pkts := s.pkts[:0]
-	dgs := s.dgs[:0]
-	sentFrames := s.frames[:0]
-	for _, tf := range batch {
-		// Untraced frames (the steady state) encapsulate through the
-		// link's prebuilt header template — one memcpy plus fixed-offset
-		// patches per fragment. Traced frames need the trace extension,
-		// which the template deliberately omits, so they take the
-		// general encoder.
-		var pkt *bridge.EncapPacket
-		var err error
-		if tf.f.Tag == 0 {
-			pkt, err = n.encap.EncapsulateTemplate(tf.f, n.nextID.Add(1), budget, lk.tmpl, sl)
-		} else {
-			pkt, err = n.encap.EncapsulateSealed(tf.f, n.nextID.Add(1), budget, n.traceExt(tf.f.Tag), sl)
-		}
-		if err != nil {
+// transmit encapsulates frames and pushes every datagram onto the link's
+// transport in one go. The transport snapshot is loaded once, so a
+// concurrent fault install or auto-upgrade applies from the next call.
+// It returns the first error, while failures are also counted under one
+// rule: every datagram is charged to exactly one of bytes_sent and
+// send_errors (an encapsulation failure is one send_errors); a frame is
+// sent once the transport confirmed all its datagrams (a fault-conduit
+// hand-off confirms), and only sent frames count in encap_sent and get
+// the wire_tx hop and a TX latency sample.
+func (n *Node) transmit(lk *link, frames []txFrame, s *txScratch) error {
+	tr := lk.tr.Load()
+	var err error
+	for _, tf := range frames {
+		pkt, eerr := n.encap.EncapsulateSealed(tf.f, n.nextID.Add(1), tr.budget, n.traceExt(tf.f.Tag), lk.sealer)
+		if eerr != nil {
 			lk.sendErrors.Add(1)
+			if err == nil {
+				err = eerr
+			}
 			continue
 		}
 		if tf.f.Tag != 0 {
 			n.tracer.Record(tf.f.Tag, trace.StageEncap)
 		}
-		if sl != nil {
+		if lk.sealer != nil {
 			n.metrics.sealSealed.Add(uint64(len(pkt.Datagrams)))
 		}
-		pkts = append(pkts, pkt)
-		dgs = append(dgs, pkt.Datagrams...)
-		sentFrames = append(sentFrames, tf)
-		n.EncapSent.Add(1)
+		s.dgs = append(s.dgs, pkt.Datagrams...)
+		s.enc = append(s.enc, encFrame{tf, pkt, len(s.dgs)})
 	}
+	sent, serr := n.send(lk, tr, s)
+	if err == nil {
+		err = serr
+	}
+	// The Fig. 7 TX stage budget: frame arrival to its last datagram
+	// hitting the wire. Forwarded frames (zero at) are not sampled.
+	var now time.Time
+	confirmed := 0
+	for _, e := range s.enc {
+		e.pkt.Release()
+		if e.end > sent {
+			continue
+		}
+		confirmed++
+		if !e.at.IsZero() {
+			if now.IsZero() {
+				now = time.Now()
+			}
+			n.metrics.txLatency.Observe(now.Sub(e.at).Seconds())
+		}
+		if e.f.Tag != 0 {
+			n.tracer.Record(e.f.Tag, trace.StageWireTx)
+		}
+	}
+	n.EncapSent.Add(uint64(confirmed))
+	clear(s.enc)
+	clear(s.dgs)
+	s.enc = s.enc[:0]
+	s.dgs = s.dgs[:0]
+	return err
+}
 
-	switch {
-	case fault != nil:
-		// Fault conduit installed: per-datagram through sendOnLink, whose
-		// conduit branch clones each datagram (the conduit may deliver
-		// after the pooled buffers are recycled) and accounts errors/bytes.
-		for _, d := range dgs {
-			n.sendOnLink(lk, d)
+// send pushes s.dgs onto a link's transport and returns how many
+// datagrams it confirmed. With a fault conduit installed each datagram
+// is handed to the conduit — a private copy, since the conduit may
+// deliver after the pooled buffers are recycled — and charged when the
+// conduit releases it. Otherwise it is the wire leg: one flush on TCP,
+// sendmmsg on UDP, each datagram charged to bytes_sent or send_errors.
+func (n *Node) send(lk *link, tr *linkTransport, s *txScratch) (int, error) {
+	if tr.fault != nil {
+		for _, d := range s.dgs {
+			tr.fault.Send(append([]byte(nil), d...), tr.deliver)
 		}
-	case proto == "tcp":
-		sent, err := n.sendBatchTCP(lk, dgs)
-		lk.bytesSent.Add(sumLens(dgs[:sent]))
-		if err != nil || sent < len(dgs) {
-			lk.sendErrors.Add(uint64(len(dgs) - sent))
-		}
-	default: // udp
-		sent, err := sendBatchUDP(n.conn, dgs, addr)
-		lk.bytesSent.Add(sumLens(dgs[:sent]))
-		if err != nil || sent < len(dgs) {
-			lk.sendErrors.Add(uint64(len(dgs) - sent))
-		}
+		return len(s.dgs), nil
 	}
+	var sent int
+	var err error
+	if tr.proto == "tcp" {
+		sent, err = n.sendBatchTCP(lk, s.dgs)
+	} else {
+		sent, err = s.udp.send(n.conn, tr, s.dgs)
+	}
+	lk.bytesSent.Add(sumLens(s.dgs[:sent]))
+	if sent < len(s.dgs) {
+		lk.sendErrors.Add(uint64(len(s.dgs) - sent))
+	}
+	return sent, err
+}
 
-	// The Fig. 7 TX stage budget, batched flavor: frame arrival to its
-	// batch hitting the wire. Forwarded frames (zero at) are skipped,
-	// matching the synchronous path — and so are frames whose
-	// encapsulation failed above: they never hit the wire, so they get
-	// neither a wire_tx trace hop nor a latency sample.
-	now := time.Now()
-	for _, tf := range sentFrames {
-		if !tf.at.IsZero() {
-			n.metrics.txLatency.Observe(now.Sub(tf.at).Seconds())
-		}
-		if tf.f.Tag != 0 {
-			n.tracer.Record(tf.f.Tag, trace.StageWireTx)
-		}
-	}
-	for i, p := range pkts {
-		p.Release()
-		pkts[i] = nil
-	}
-	for i := range dgs {
-		dgs[i] = nil
-	}
-	for i := range sentFrames {
-		sentFrames[i] = txFrame{}
-	}
-	s.pkts = pkts[:0]
-	s.dgs = dgs[:0]
-	s.frames = sentFrames[:0]
+// sendDatagram sends one datagram — a heartbeat probe, or one a fault
+// conduit releases — through send on a borrowed scratch.
+func (n *Node) sendDatagram(lk *link, tr *linkTransport, d []byte) {
+	s := getTxScratch()
+	s.dgs = append(s.dgs, d)
+	n.send(lk, tr, s)
+	s.dgs[0] = nil
+	s.dgs = s.dgs[:0]
+	txScratches.Put(s)
 }
 
 // sendBatchTCP pushes a batch of datagrams down a link's TCP transport
