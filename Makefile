@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race drift secretcheck livebench-vet verify chaos timers bench bench-json bench-baseline fuzz-smoke clean
+.PHONY: build test vet race drift secretcheck livebench-vet verify allocs chaos timers bench bench-json bench-baseline fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,13 @@ livebench-vet:
 # Full verification: compile, static checks, plain suite, race suite,
 # doc drift, secrets hygiene, benchmark-harness compile.
 verify: build vet test race drift secretcheck livebench-vet
+
+# Every allocation pin: the testing.AllocsPerRun tests, all named
+# *Allocs* except the disabled-tracer check. The receive and transmit
+# pins skip under -race, whose instrumentation allocates, so this plain
+# run is their gate.
+allocs:
+	$(GO) test -count=1 -run 'Allocs|TracerDisabledSamplesNothing' ./internal/...
 
 # Crash-injection and drain-stress suite: panics and stalls injected
 # into live datapath components, graceful-drain and close-under-traffic

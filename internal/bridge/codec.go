@@ -518,6 +518,7 @@ type reasmKey struct {
 type Reassembler struct {
 	partials map[reasmKey]*partial
 	curGen   uint64
+	free     []*partial // retired partials, reused by the next frame
 
 	// Reassembled counts completed frames; Dropped counts evictions.
 	Reassembled, Dropped uint64
@@ -544,13 +545,19 @@ func (r *Reassembler) Add(sender string, datagram []byte) (*ethernet.Frame, erro
 // ParseEncap or ParseEncapInto (the overlay parses first to intercept
 // probe datagrams). For a sealed datagram payload is the opened
 // plaintext; h's seal tenant scopes the reassembly stream.
+//
+// AddParsed never retains or aliases payload: the returned frame owns
+// its bytes, so the caller may reuse the datagram's buffer as soon as
+// the call returns.
 func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (*ethernet.Frame, error) {
 	// Fast path: unfragmented packet.
 	if h.FragOff == 0 && !h.MoreFrags {
 		if len(payload) != int(h.TotalLen) {
 			return nil, ErrFragBounds
 		}
-		return ethernet.Unmarshal(payload)
+		buf := make([]byte, len(payload))
+		copy(buf, payload)
+		return ethernet.Unmarshal(buf)
 	}
 	k := reasmKey{sender: sender, id: h.ID}
 	if h.HasSeal {
@@ -558,12 +565,11 @@ func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (
 	}
 	p := r.partials[k]
 	if p == nil {
-		p = &partial{buf: make([]byte, h.TotalLen), total: int(h.TotalLen)}
-		p.spans = p.inline[:0]
+		p = r.newPartial(int(h.TotalLen))
 		r.partials[k] = p
 	}
 	if p.total != int(h.TotalLen) {
-		delete(r.partials, k)
+		r.retire(k, p)
 		return nil, ErrFragBounds
 	}
 	copy(p.buf[h.FragOff:], payload)
@@ -573,11 +579,42 @@ func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (
 	}
 	p.gen = r.curGen
 	if p.sawLast && p.complete() {
-		delete(r.partials, k)
+		buf := p.buf // the frame keeps the buffer; only the partial is reused
+		r.retire(k, p)
 		r.Reassembled++
-		return ethernet.Unmarshal(p.buf)
+		return ethernet.Unmarshal(buf)
 	}
 	return nil, nil
+}
+
+// maxFreePartials bounds the free list, so a burst of abandoned
+// reassemblies does not pin its partials for the Reassembler's lifetime.
+const maxFreePartials = 64
+
+// newPartial starts a reassembly of total bytes, reusing a retired
+// partial when one is free. Its buffer is always fresh: a completed
+// frame owns the buffer it was reassembled in.
+func (r *Reassembler) newPartial(total int) *partial {
+	var p *partial
+	if n := len(r.free); n > 0 {
+		p = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		p = new(partial)
+	}
+	p.buf = make([]byte, total)
+	p.total = total
+	p.spans = p.inline[:0]
+	return p
+}
+
+// retire removes k's partial and keeps p for reuse, dropping its buffer.
+func (r *Reassembler) retire(k reasmKey, p *partial) {
+	delete(r.partials, k)
+	if len(r.free) < maxFreePartials {
+		*p = partial{}
+		r.free = append(r.free, p)
+	}
 }
 
 // EvictStale drops partial packets not touched since the previous call.
@@ -586,7 +623,7 @@ func (r *Reassembler) EvictStale() int {
 	evicted := 0
 	for k, p := range r.partials {
 		if p.gen < r.curGen {
-			delete(r.partials, k)
+			r.retire(k, p)
 			evicted++
 			r.Dropped++
 		}

@@ -151,8 +151,9 @@ func TestReceiveParseAllocs(t *testing.T) {
 }
 
 // sixFragmentAllocs is the measured cost of reassembling one sealed
-// six-fragment frame: the partial, its buffer, and the delivered Frame.
-const sixFragmentAllocs = 3
+// six-fragment frame: the reassembled buffer and the delivered Frame
+// (retired partials are reused).
+const sixFragmentAllocs = 2
 
 // TestReassembleSealedAllocs pins AddParsed's allocations over a
 // six-fragment sealed frame (opened outside the measured loop).
@@ -193,5 +194,73 @@ func TestReassembleSealedAllocs(t *testing.T) {
 	})
 	if allocs != sixFragmentAllocs {
 		t.Fatalf("AddParsed over a six-fragment sealed frame allocates %v, pinned at %d", allocs, sixFragmentAllocs)
+	}
+}
+
+// TestAddParsedNeverAliasesPayload overwrites every datagram buffer as
+// soon as AddParsed returns — as the overlay does when it recycles a
+// receive slot — over unfragmented and fragmented frames, with
+// reassemblies interleaved and partials retired by completion, size
+// mismatch and eviction in between. Every delivered frame must still
+// carry its own bytes.
+func TestAddParsedNeverAliasesPayload(t *testing.T) {
+	r := NewReassembler()
+	var enc Encapsulator
+	frameOf := func(seq, size int) *ethernet.Frame {
+		p := make([]byte, size)
+		for i := range p {
+			p[i] = byte(seq + i)
+		}
+		return &ethernet.Frame{Dst: ethernet.LocalMAC(1), Src: ethernet.LocalMAC(2),
+			Type: ethernet.TypeTest, Payload: p}
+	}
+	add := func(d []byte) *ethernet.Frame {
+		t.Helper()
+		scratch := append([]byte(nil), d...)
+		f, err := r.Add("peer", scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range scratch {
+			scratch[i] = 0xee
+		}
+		return f
+	}
+	for seq, size := range []int{64, 5000, 1300, 8000, 200, 3000} {
+		want := frameOf(seq, size)
+		pkt, err := enc.EncapsulateSealed(want, uint32(seq), 1400, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *ethernet.Frame
+		for i, d := range pkt.Datagrams {
+			if i == 1 {
+				// Interleave a frame that never completes (evicted
+				// later) and one that mismatches its own size, so
+				// partials retire mid-stream.
+				for _, id := range []uint32{900, 950} {
+					stray := (&EncapHeader{ID: id + uint32(seq), TotalLen: 100, MoreFrags: true}).Marshal(nil)
+					add(append(stray, make([]byte, 10)...))
+				}
+				bad := (&EncapHeader{ID: 950 + uint32(seq), TotalLen: 50, FragOff: 20, MoreFrags: true}).Marshal(nil)
+				if _, err := r.Add("peer", append(bad, make([]byte, 10)...)); err != ErrFragBounds {
+					t.Fatalf("size mismatch: err = %v", err)
+				}
+			}
+			if f := add(d); f != nil {
+				got = f
+			}
+		}
+		pkt.Release()
+		if got == nil || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("frame %d (%d B) corrupted after its datagrams were overwritten", seq, size)
+		}
+		if seq%2 == 1 {
+			r.EvictStale()
+			r.EvictStale()
+		}
+	}
+	if r.Pending() != 0 {
+		t.Fatalf("pending = %d", r.Pending())
 	}
 }

@@ -235,6 +235,11 @@ func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
 	if stats.FramesDropped != 0 {
 		t.Fatalf("clean drain dropped %d frames (stats %+v)", stats.FramesDropped, stats)
 	}
+	// Node B receives asynchronously: frames the drain flushed may still
+	// be in its socket or dispatcher rings when Drain returns.
+	for deadline := time.Now().Add(3 * time.Second); nb.Delivered.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if nb.Delivered.Load() == 0 {
 		t.Fatal("nothing delivered before drain completed")
 	}

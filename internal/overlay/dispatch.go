@@ -11,7 +11,6 @@
 package overlay
 
 import (
-	"fmt"
 	"log/slog"
 	"runtime"
 	"strconv"
@@ -179,11 +178,14 @@ func (c *NodeConfig) normalize() {
 }
 
 // inDatagram is one raw encapsulation datagram handed from the read loop
-// to a dispatcher worker. at is the socket-read timestamp, carried so
-// the RX latency histogram measures datagram-in → frame delivery.
+// to a dispatcher worker. slot is the pooled receive slot holding pkt
+// (nil when unpooled or injected); the worker returns it once the
+// datagram is handled. at is the socket-read timestamp, carried so the
+// RX latency histogram measures datagram-in → frame delivery.
 type inDatagram struct {
 	sender string
 	pkt    []byte
+	slot   *rxSlot
 	at     time.Time
 }
 
@@ -194,6 +196,7 @@ type inDatagram struct {
 // across routing or delivery.
 type rxShard struct {
 	idx   int
+	scope string // idx as a drop scope, formatted once
 	in    chan inDatagram
 	mu    sync.Mutex
 	reasm *bridge.Reassembler
@@ -207,6 +210,23 @@ type rxShard struct {
 	// children of the node's per-worker registry families
 	// (vnetp_dispatcher_*_total{worker="<idx>"}).
 	Datagrams, Frames, Drops *telemetry.Counter
+}
+
+// newRxShard builds dispatcher shard i over the node's config and
+// metrics. Its index is formatted once here, as both the worker label
+// and the drop scope, so no drop site formats it per datagram.
+func (n *Node) newRxShard(i int) *rxShard {
+	w := strconv.Itoa(i)
+	return &rxShard{
+		idx:       i,
+		scope:     w,
+		in:        make(chan inDatagram, n.cfg.QueueDepth),
+		reasm:     bridge.NewReassembler(),
+		flight:    trace.NewFlightRing(n.cfg.FlightDepth, n.cfg.FlightSnap),
+		Datagrams: n.metrics.dispDatagrams.With(w),
+		Frames:    n.metrics.dispFrames.With(w),
+		Drops:     n.metrics.dispDrops.With(w),
+	}
 }
 
 // shardFor maps a sender key onto its dispatcher shard (FNV-1a). All
@@ -236,16 +256,15 @@ func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 			return
 		case d := <-s.in:
 			inst.Working()
-			payload, err := bridge.ParseEncapInto(&h, d.pkt)
-			if err != nil {
+			if payload, err := bridge.ParseEncapInto(&h, d.pkt); err != nil {
 				n.BadPackets.Add(1)
 				n.drop(dropBadPacket, 1, telemetry.DropDetail{
 					Scope: d.sender, Stage: "rx_parse",
 				})
-				inst.Idle()
-				continue
+			} else {
+				n.processData(s, d.sender, &h, payload, d.pkt, d.at)
 			}
-			n.processData(s, d.sender, &h, payload, d.pkt, d.at)
+			putRxSlot(d.slot) // processData kept no reference to the bytes
 			inst.Idle()
 		}
 	}
@@ -258,7 +277,9 @@ func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 // parse on their own goroutines and call in directly). raw is the full
 // encap datagram as it arrived on the wire, captured by the shard's
 // flight recorder when one is armed (before decryption: the recorder
-// sees what the wire saw).
+// sees what the wire saw). processData retains neither payload nor raw:
+// the open is in place, and reassembly and the flight recorder copy, so
+// the caller may recycle the datagram's buffer once it returns.
 func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, payload, raw []byte, at time.Time) {
 	s.Datagrams.Add(1)
 	var tid uint64
@@ -335,15 +356,16 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 
 // enqueue offers a datagram to its sender's dispatcher without blocking
 // the socket read; ring-full datagrams are dropped and counted, like a
-// NIC RX ring under overrun.
-func (n *Node) enqueue(sender string, pkt []byte, at time.Time) {
+// NIC RX ring under overrun, and their slot goes straight back.
+func (n *Node) enqueue(sender string, pkt []byte, slot *rxSlot, at time.Time) {
 	s := n.shardFor(sender)
 	select {
-	case s.in <- inDatagram{sender: sender, pkt: pkt, at: at}:
+	case s.in <- inDatagram{sender: sender, pkt: pkt, slot: slot, at: at}:
 	default:
+		putRxSlot(slot)
 		s.Drops.Add(1)
 		n.drop(dropDispatcherRing, 1, telemetry.DropDetail{
-			Scope: fmt.Sprint(s.idx), Stage: "rx_ring",
+			Scope: s.scope, Stage: "rx_ring",
 		})
 	}
 }

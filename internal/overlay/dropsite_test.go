@@ -162,7 +162,7 @@ func TestDropSiteDispatcherRing(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("dispatcher ring never overran")
 		}
-		n.enqueue("10.0.0.2:2", junk, time.Now())
+		n.enqueue("10.0.0.2:2", junk, nil, time.Now())
 	}
 	// Quiesce, then the producer-side shard counters must agree with the
 	// ledger exactly.
@@ -187,7 +187,7 @@ func TestDropSiteProbeRing(t *testing.T) {
 			t.Fatal("probe ring never overran")
 		}
 		for i := 0; i < 1024; i++ {
-			n.handleDatagram(probe, from, time.Now(), attr)
+			n.handleDatagram(rxPacket{pkt: probe, from: from}, time.Now(), attr)
 		}
 	}
 }
@@ -379,7 +379,7 @@ func TestDropLedgerChurn(t *testing.T) {
 	churn(func(i int) { src.Send(testFrame(src.MAC(), sink.MAC())) })             // endpoint_ring once full
 	churn(func(i int) { src.Send(testFrame(src.MAC(), crossDst)) })               // cross_tenant
 	churn(func(i int) { src.Send(testFrame(src.MAC(), linkDst)) })                // tx_ring
-	churn(func(i int) { n.enqueue(fmt.Sprintf("10.1.0.%d:1", i%4), []byte{1, 2, 3}, time.Now()) })
+	churn(func(i int) { n.enqueue(fmt.Sprintf("10.1.0.%d:1", i%4), []byte{1, 2, 3}, nil, time.Now()) })
 	// The blocking inject path guarantees these reach processData even
 	// while the enqueue churn keeps the rings overrun.
 	churn(func(i int) { n.inject(fmt.Sprintf("10.2.0.%d:1", i%4), sealed) })

@@ -408,16 +408,7 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	n.BadPackets = reg.Counter("vnetp_bad_packets_total", "Malformed encapsulation datagrams rejected.")
 	n.shards = make([]*rxShard, cfg.Dispatchers)
 	for i := range n.shards {
-		w := fmt.Sprint(i)
-		n.shards[i] = &rxShard{
-			idx:       i,
-			in:        make(chan inDatagram, cfg.QueueDepth),
-			reasm:     bridge.NewReassembler(),
-			flight:    trace.NewFlightRing(cfg.FlightDepth, cfg.FlightSnap),
-			Datagrams: n.metrics.dispDatagrams.With(w),
-			Frames:    n.metrics.dispFrames.With(w),
-			Drops:     n.metrics.dispDrops.With(w),
-		}
+		n.shards[i] = n.newRxShard(i)
 	}
 	n.registerNodeFuncs()
 	n.startTCP()
@@ -1118,6 +1109,7 @@ func (n *Node) traceExt(tag uint64) *bridge.TraceExt {
 // the read loop to the probe handler.
 type probeEvent struct {
 	pkt  []byte
+	slot *rxSlot // pkt's pooled slot, returned once the event is handled
 	from *net.UDPAddr
 }
 
@@ -1162,7 +1154,7 @@ func (n *Node) readLoop(inst *supervise.Instance) {
 		at := time.Now()
 		n.metrics.rxBatchSize.Observe(float64(cnt))
 		for i := 0; i < cnt; i++ {
-			n.handleDatagram(batch[i].pkt, batch[i].from, at, &attr)
+			n.handleDatagram(batch[i], at, &attr)
 			batch[i] = rxPacket{} // drop the owned copy's ref once handed off
 		}
 		inst.Idle()
@@ -1171,9 +1163,11 @@ func (n *Node) readLoop(inst *supervise.Instance) {
 
 // handleDatagram classifies and routes one received datagram: link
 // attribution via the read loop's cache, control steering to the probe
-// handler, data enqueue onto the sender's dispatcher shard. pkt must be
-// an owned copy (it outlives the call on both paths).
-func (n *Node) handleDatagram(pkt []byte, from netip.AddrPort, at time.Time, attr *rxAttrib) {
+// handler, data enqueue onto the sender's dispatcher shard. p.pkt must
+// be an owned copy (it outlives the call on both paths); its slot
+// travels with it and goes back to the pool wherever the datagram ends.
+func (n *Node) handleDatagram(p rxPacket, at time.Time, attr *rxAttrib) {
+	pkt, from := p.pkt, p.from
 	changed := attr.lastKey == "" || from != attr.lastAddr
 	if changed {
 		attr.lastAddr = from
@@ -1190,8 +1184,9 @@ func (n *Node) handleDatagram(pkt []byte, from netip.AddrPort, at time.Time, att
 	}
 	if bridge.EncapIsControl(pkt) {
 		select {
-		case n.probeCh <- probeEvent{pkt: pkt, from: net.UDPAddrFromAddrPort(from)}:
+		case n.probeCh <- probeEvent{pkt: pkt, slot: p.slot, from: net.UDPAddrFromAddrPort(from)}:
 		default:
+			putRxSlot(p.slot)
 			// Control ring full: the dropped probe surfaces as a lost
 			// heartbeat at its sender — but the ledger still records
 			// that this node shed it (this site was silent before the
@@ -1203,7 +1198,7 @@ func (n *Node) handleDatagram(pkt []byte, from netip.AddrPort, at time.Time, att
 		}
 		return
 	}
-	n.enqueue(attr.lastKey, pkt, at)
+	n.enqueue(attr.lastKey, pkt, p.slot, at)
 }
 
 // probeLoop handles control traffic (liveness probes and replies) off the
@@ -1222,20 +1217,18 @@ func (n *Node) probeLoop(inst *supervise.Instance) {
 		case ev := <-n.probeCh:
 			inst.Working()
 			payload, err := bridge.ParseEncapInto(&h, ev.pkt)
-			if err != nil {
+			switch {
+			case err != nil:
 				n.BadPackets.Add(1)
 				n.drop(dropBadPacket, 1, telemetry.DropDetail{
 					Scope: ev.from.String(), Stage: "control",
 				})
-				inst.Idle()
-				continue
-			}
-			switch {
 			case h.Probe:
 				n.conn.WriteToUDP(marshalProbeReply(payload), ev.from)
 			case h.ProbeReply:
 				n.handleProbeReply(payload)
 			}
+			putRxSlot(ev.slot) // the reply and the reply parse copy what they keep
 			inst.Idle()
 		}
 	}
@@ -1265,7 +1258,7 @@ func (n *Node) evictLoop(inst *supervise.Instance) {
 				if evicted > 0 {
 					n.metrics.reasmEvictions.Add(uint64(evicted))
 					n.drop(dropReassemblyEvict, uint64(evicted), telemetry.DropDetail{
-						Scope: fmt.Sprint(s.idx), Stage: "reassembly",
+						Scope: s.scope, Stage: "reassembly",
 					})
 				}
 			}

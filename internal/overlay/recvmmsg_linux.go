@@ -3,10 +3,11 @@
 // recvmmsg(2) batch receive: one syscall drains a burst of datagrams
 // from the UDP socket, mirroring the sendmmsg transmit path. The reader
 // owns a fixed set of 64KiB buffers and mmsghdr/iovec/sockaddr arrays,
-// rebuilt never — readBatch's only per-datagram allocation is the owned
-// packet copy handed up the stack. Senders decode into netip.AddrPort
-// values and the poller callback is built once, so a batch costs no
-// allocation beyond those copies.
+// rebuilt never. Each datagram is copied into a pooled receive slot
+// (rxBuffer) handed up the stack; only datagrams over rxSlotSize get an
+// allocated copy. Senders decode into netip.AddrPort values and the
+// poller callback is built once, so a batch of datagrams within the
+// slot size allocates nothing.
 
 package overlay
 
@@ -100,9 +101,9 @@ func (r *mmsgReader) readBatch(into []rxPacket) (int, error) {
 	got := r.got
 	for i := 0; i < got; i++ {
 		sz := int(r.msgs[i].cnt)
-		pkt := make([]byte, sz)
+		pkt, slot := rxBuffer(sz)
 		copy(pkt, r.bufs[i][:sz])
-		into[i] = rxPacket{pkt: pkt, from: addrPortOf(&r.names[i])}
+		into[i] = rxPacket{pkt: pkt, slot: slot, from: addrPortOf(&r.names[i])}
 	}
 	return got, nil
 }

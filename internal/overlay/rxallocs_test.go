@@ -52,9 +52,9 @@ func TestAllocsHandleDatagram(t *testing.T) {
 	pkt = append(pkt, make([]byte, 64)...)
 	var attr rxAttrib
 	at := time.Now()
-	n.handleDatagram(pkt, from, at, &attr) // first sight: builds the key
+	n.handleDatagram(rxPacket{pkt: pkt, from: from}, at, &attr) // first sight: builds the key
 	allocs := testing.AllocsPerRun(1000, func() {
-		n.handleDatagram(pkt, from, at, &attr)
+		n.handleDatagram(rxPacket{pkt: pkt, from: from}, at, &attr)
 	})
 	if allocs != 0 {
 		t.Fatalf("handleDatagram from a seen peer allocates %v/op, want 0", allocs)

@@ -10,6 +10,7 @@ package overlay
 import (
 	"net"
 	"net/netip"
+	"sync"
 )
 
 // defaultRxBatch is the read loop's per-wakeup datagram budget when
@@ -17,21 +18,56 @@ import (
 // knee of the curve without holding a burst's worth of 64KiB buffers.
 const defaultRxBatch = 16
 
+// rxSlotSize is the size of a pooled receive slot. Every datagram
+// within the UDP datagram budget (maxDatagram) fits one; larger ones
+// (TCP links, foreign senders) get an exact-size buffer that is never
+// pooled.
+const rxSlotSize = 2048
+
+// rxSlot is one pooled receive buffer. The pool holds pointers: a
+// []byte put into a sync.Pool would allocate its header on every Put.
+type rxSlot [rxSlotSize]byte
+
+var rxSlots = sync.Pool{New: func() any { return new(rxSlot) }}
+
+// rxBuffer returns an owned size-byte receive buffer: the prefix of a
+// pooled slot when it fits (slot non-nil), else an exact-size
+// allocation (slot nil). Whoever consumes the datagram hands the slot
+// back with putRxSlot once nothing refers to the bytes any more.
+func rxBuffer(size int) ([]byte, *rxSlot) {
+	if size <= rxSlotSize {
+		s := rxSlots.Get().(*rxSlot)
+		return s[:size], s
+	}
+	return make([]byte, size), nil
+}
+
+// putRxSlot returns a datagram's slot to the pool; nil (an unpooled or
+// injected datagram) is a no-op.
+func putRxSlot(s *rxSlot) {
+	if s != nil {
+		rxSlots.Put(s)
+	}
+}
+
 // rxPacket is one received datagram: an owned copy of the payload (the
-// reader's internal buffers are reused across batches) and its sender.
-// The sender is a fixed-size value — decoding it allocates nothing — and
-// IPv4-mapped IPv6 senders (a node bound to [::]) are unmapped, so a v4
-// peer's key reads "127.0.0.1:p" on either bind.
+// reader's internal buffers are reused across batches), the pooled slot
+// holding it (nil when unpooled), and its sender. The sender is a
+// fixed-size value — decoding it allocates nothing — and IPv4-mapped
+// IPv6 senders (a node bound to [::]) are unmapped, so a v4 peer's key
+// reads "127.0.0.1:p" on either bind.
 type rxPacket struct {
 	pkt  []byte
+	slot *rxSlot
 	from netip.AddrPort
 }
 
 // batchReader abstracts "drain up to len(into) datagrams from the
 // socket". readBatch blocks until at least one datagram is available,
-// fills into[0:n] with owned packet copies, and returns n. A socket
-// error (including close during shutdown) returns err; the read loop
-// treats any error as retirement, matching the old ReadFromUDP contract.
+// fills into[0:n] with owned packet copies (rxBuffer), and returns n. A
+// socket error (including close during shutdown) returns err; the read
+// loop treats any error as retirement, matching the old ReadFromUDP
+// contract.
 type batchReader interface {
 	readBatch(into []rxPacket) (int, error)
 }
@@ -49,9 +85,9 @@ func (r *singleReader) readBatch(into []rxPacket) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	pkt := make([]byte, sz)
+	pkt, slot := rxBuffer(sz)
 	copy(pkt, r.buf[:sz])
-	into[0] = rxPacket{pkt: pkt, from: netip.AddrPortFrom(from.Addr().Unmap(), from.Port())}
+	into[0] = rxPacket{pkt: pkt, slot: slot, from: netip.AddrPortFrom(from.Addr().Unmap(), from.Port())}
 	return 1, nil
 }
 

@@ -152,8 +152,9 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 			n.drop(dropBadPacket, 1, telemetry.DropDetail{Scope: key, Stage: "tcp_frame"})
 			return
 		}
-		pkt := make([]byte, size)
+		pkt, slot := rxBuffer(int(size))
 		if _, err := io.ReadFull(r, pkt); err != nil {
+			putRxSlot(slot)
 			return
 		}
 		at := time.Now()
@@ -161,12 +162,10 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 			lk.bytesRecv.Add(uint64(len(hdr) + len(pkt)))
 		}
 		payload, err := bridge.ParseEncapInto(&h, pkt)
-		if err != nil {
+		switch {
+		case err != nil:
 			n.BadPackets.Add(1)
 			n.drop(dropBadPacket, 1, telemetry.DropDetail{Scope: key, Stage: "tcp_parse"})
-			continue
-		}
-		switch {
 		case h.Probe:
 			// Echo on the same connection; a failed write surfaces as a
 			// lost probe on the sender.
@@ -179,6 +178,7 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 			// rather than re-queued behind the UDP dispatchers.
 			n.processData(shard, key, &h, payload, pkt, at)
 		}
+		putRxSlot(slot)
 	}
 }
 

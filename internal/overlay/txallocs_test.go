@@ -1,6 +1,6 @@
 // Allocation pins for the transmit path: a flow-cache hit sends with no
-// allocation at 64 B and at 8000 B (one sendmmsg for the fragments), a
-// sealed send pays only its per-fragment GCM nonces, a miss pays only
+// allocation at 64 B and at 8000 B (one sendmmsg for the fragments),
+// sealed or not, a miss pays only
 // the cache entry it stores, and transmit of a collected batch is
 // allocation-free. The sink is a plain UDP socket nobody reads, so no
 // receive path allocates during a measurement. Skipped under -race,
@@ -84,16 +84,16 @@ func TestAllocsSendCached(t *testing.T) {
 	}
 }
 
-// TestAllocsSendCachedSealed pins the sealed 8000 B send at its six
-// fragments' GCM nonces: each escapes through the cipher.AEAD interface
-// (one allocation per fragment); nothing else on the path allocates.
+// TestAllocsSendCachedSealed pins the sealed 8000 B send at zero: each
+// fragment's GCM nonce is read from its own wire header, so nothing
+// escapes through the cipher.AEAD interface.
 func TestAllocsSendCachedSealed(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	_, ep, dst := txAllocNode(t, NodeConfig{}, 7)
-	if a := sendAllocs(t, ep, dst, 8000, nil); a != 6 {
-		t.Fatalf("cached 8000 B sealed Send allocates %v/op, want 6 (one nonce per fragment)", a)
+	if a := sendAllocs(t, ep, dst, 8000, nil); a != 0 {
+		t.Fatalf("cached 8000 B sealed Send allocates %v/op, want 0", a)
 	}
 }
 

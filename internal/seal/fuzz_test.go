@@ -10,7 +10,9 @@ import (
 // adversarial inputs: a seal/open round trip is the identity; flipped
 // ciphertext bits, truncations, wrong tenant IDs, and replayed nonces
 // all reject with a typed RejectError and never return partial
-// plaintext; and Open never panics on arbitrary garbage.
+// plaintext; Open never panics on arbitrary garbage; and associated
+// data shaped like a sealed wire header (ending in tenant || nonce)
+// seals exactly as the reference nonce construction does.
 func FuzzSealOpen(f *testing.F) {
 	f.Add([]byte("inner ethernet frame bytes"), []byte("VN\x02\x10hdr"), uint16(3), uint8(4), uint8(0))
 	f.Add([]byte{}, []byte{}, uint16(0), uint8(0), uint8(1))
@@ -88,6 +90,19 @@ func FuzzSealOpen(f *testing.F) {
 		gn ^= uint64(mode) << 40
 		if _, err := recv().Open(7, gn, payload, clone(aad)); err == nil && len(aad) >= Overhead {
 			t.Fatalf("garbage ciphertext accepted")
+		}
+
+		// Wire-shaped associated data: aad followed by the seal extension
+		// tenantID || nonce, the way every datapath header ends. The GCM
+		// nonce is then read from the header; the ciphertext must match
+		// the reference construction byte for byte and open cleanly.
+		wire := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(clone(aad), 7), nonce)
+		wct := s.Seal(nonce, wire, pad(clone(payload)))
+		if want := s.aead.Seal(nil, refNonce(7, nonce), payload, wire); !bytes.Equal(wct, want) {
+			t.Fatalf("wire-shaped AAD: ciphertext differs from the reference nonce construction")
+		}
+		if pt, err := recv().Open(7, nonce, wire, clone(wct)); err != nil || !bytes.Equal(pt, payload) {
+			t.Fatalf("wire-shaped AAD: open = %x, %v", pt, err)
 		}
 	})
 }

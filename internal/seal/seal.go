@@ -13,7 +13,10 @@
 // derive the correct per-direction subkey from the nonce alone and run
 // an IPsec-style sliding replay window per (tenant, origin). The full
 // 96-bit GCM nonce is tenantID(4) || nonce8(8) — a nonce authenticated
-// into the ciphertext can never be replayed into another tenant.
+// into the ciphertext can never be replayed into another tenant. Those
+// 12 bytes are, byte for byte, the seal extension that ends every sealed
+// wire header, so on the datapath the nonce is read from the header
+// (the associated data) rather than built per datagram.
 //
 // Everything fails closed: unknown tenant, authentication failure,
 // replayed or out-of-window nonce, and truncated ciphertext all reject
@@ -82,11 +85,21 @@ type RejectError struct{ Reason string }
 
 func (e *RejectError) Error() string { return "seal: rejected: " + e.Reason }
 
-func reject(reason string) error { return &RejectError{Reason: reason} }
+// The reject errors are shared values, one per reason, so a stream of
+// forged or replayed datagrams costs no allocation to refuse.
+var (
+	errUnknownTenant = &RejectError{Reason: RejectUnknownTenant}
+	errAuth          = &RejectError{Reason: RejectAuth}
+	errReplay        = &RejectError{Reason: RejectReplay}
+	errTruncated     = &RejectError{Reason: RejectTruncated}
+)
 
 // RejectReasonOf extracts a reject reason from an Open error ("error"
 // for anything that is not a RejectError).
 func RejectReasonOf(err error) string {
+	if re, ok := err.(*RejectError); ok {
+		return re.Reason
+	}
 	var re *RejectError
 	if errors.As(err, &re) {
 		return re.Reason
@@ -318,10 +331,25 @@ func (s *Sealer) NextNonce() uint64 {
 // plaintext's storage (dst = plaintext[:0]); the caller must provide
 // Overhead bytes of spare capacity or Seal reallocates.
 func (s *Sealer) Seal(nonce uint64, additional, plaintext []byte) []byte {
-	var nb [NonceLen]byte
-	binary.BigEndian.PutUint32(nb[:4], s.tenantID)
+	return s.aead.Seal(plaintext[:0], gcmNonce(s.tenantID, nonce, additional), plaintext, additional)
+}
+
+// gcmNonce returns the 96-bit GCM nonce tenantID(4) || nonce(8). On the
+// datapath additional is the wire header, whose seal extension — its
+// last NonceLen bytes — spells exactly that nonce, so the nonce is a
+// view of additional and nothing escapes through the cipher.AEAD call.
+// Any other associated data gets a freshly built nonce.
+func gcmNonce(tenantID uint32, nonce uint64, additional []byte) []byte {
+	if n := len(additional) - NonceLen; n >= 0 {
+		tail := additional[n:]
+		if binary.BigEndian.Uint32(tail) == tenantID && binary.BigEndian.Uint64(tail[4:]) == nonce {
+			return tail
+		}
+	}
+	nb := make([]byte, NonceLen)
+	binary.BigEndian.PutUint32(nb, tenantID)
 	binary.BigEndian.PutUint64(nb[4:], nonce)
-	return s.aead.Seal(plaintext[:0], nb[:], plaintext, additional)
+	return nb
 }
 
 // Open authenticates and decrypts one sealed payload in place (the
@@ -331,13 +359,13 @@ func (s *Sealer) Seal(nonce uint64, additional, plaintext []byte) []byte {
 // cannot desynchronize a live stream.
 func (k *Keyring) Open(tenantID uint32, nonce uint64, additional, ct []byte) ([]byte, error) {
 	if len(ct) < Overhead {
-		return nil, reject(RejectTruncated)
+		return nil, errTruncated
 	}
 	k.mu.RLock()
 	t := k.tenants[tenantID]
 	k.mu.RUnlock()
 	if t == nil {
-		return nil, reject(RejectUnknownTenant)
+		return nil, errUnknownTenant
 	}
 	origin := uint16(nonce >> 48)
 	seq := nonce & seqMask
@@ -347,31 +375,28 @@ func (k *Keyring) Open(tenantID uint32, nonce uint64, additional, ct []byte) ([]
 		aead, err := newAEAD(subkey(t.master[:], origin))
 		if err != nil {
 			t.mu.Unlock()
-			return nil, reject(RejectAuth)
+			return nil, errAuth
 		}
 		rs = &recvState{aead: aead}
 		t.recv[origin] = rs
 	}
 	if !rs.win.check(seq) {
 		t.mu.Unlock()
-		return nil, reject(RejectReplay)
+		return nil, errReplay
 	}
 	aead := rs.aead
 	t.mu.Unlock()
 
-	var nb [NonceLen]byte
-	binary.BigEndian.PutUint32(nb[:4], tenantID)
-	binary.BigEndian.PutUint64(nb[4:], nonce)
-	pt, err := aead.Open(ct[:0], nb[:], ct, additional)
+	pt, err := aead.Open(ct[:0], gcmNonce(tenantID, nonce, additional), ct, additional)
 	if err != nil {
-		return nil, reject(RejectAuth)
+		return nil, errAuth
 	}
 
 	t.mu.Lock()
 	ok := rs.win.commit(seq)
 	t.mu.Unlock()
 	if !ok {
-		return nil, reject(RejectReplay)
+		return nil, errReplay
 	}
 	return pt, nil
 }
